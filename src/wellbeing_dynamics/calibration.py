@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .core import ScenarioParams
-from .errors import DomainError
+from .errors import DomainError, checked, checked_points
 
 
 @dataclass(frozen=True)
@@ -31,21 +31,7 @@ class IncomeSeries:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        try:
-            pts = tuple((float(t), float(v)) for t, v in self.points)
-        except (TypeError, ValueError):
-            raise DomainError("income series points must be (time, income) pairs") from None
-        if len(pts) < 2:
-            raise DomainError("income series needs at least 2 points")
-        for t, v in pts:
-            if not (math.isfinite(t) and math.isfinite(v)):
-                raise DomainError(f"income series point ({t!r}, {v!r}) is not finite")
-            if v <= 0.0:
-                raise DomainError(f"income must be positive, got {v} at time {t}")
-        times = [t for t, _ in pts]
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-            raise DomainError("income series times must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", checked_points(self.points, "income series"))
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -74,14 +60,11 @@ class InequalityRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.indicator, Indicator):
             raise DomainError(f"indicator must be an Indicator, got {self.indicator!r}")
-        value = self.value
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise DomainError(f"indicator value must be positive, got {value!r}")
         if self.indicator is Indicator.GINI:
-            if not 0.0 < value < 1.0:
-                raise DomainError(f"Gini must lie in (0, 1), got {value}")
-        elif value < 1.0:
-            raise DomainError(f"{self.indicator.value} ratio must be >= 1, got {value}")
+            value = checked(self.value, "Gini", above=0.0, below=1.0)
+        else:
+            value = checked(self.value, f"{self.indicator.value} ratio", at_least=1.0)
+        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)

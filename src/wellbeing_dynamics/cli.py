@@ -15,16 +15,10 @@ import sys
 from pathlib import Path
 
 from .calibration import fit_growth_rate, read_income_series, scenario_from_data
-from .core import (
-    closed_form_B,
-    closed_form_B_star,
-    exponent_g,
-    exponent_g_star,
-    ratio_analysis,
-)
-from .dynamics import integrate, time_grid
-from .errors import DomainError, IntegrationError, QuadratureError
-from .regime import DEFAULT_EPSILON, classify
+from .core import closed_form_B, closed_form_B_star, exponent_g, exponent_g_star, ratio_analysis
+from .dynamics import integrate, max_relative_deviation, time_grid
+from .errors import DomainError, IntegrationError, QuadratureError, checked
+from .regime import classify
 from .scenario import PARAM_KEYS, load_scenario, parse_sweep, with_param
 
 
@@ -32,19 +26,16 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _check_tolerance(value: float) -> float:
-    if not 0.0 < value < 1.0:
-        raise DomainError(f"--tolerance must be in (0, 1), got {value}")
-    return value
+def _tolerance(args: argparse.Namespace, scenario) -> float:
+    """--tolerance when given, else the scenario's numerics.epsilon."""
+    if args.tolerance is None:
+        return scenario.numerics.epsilon
+    return checked(args.tolerance, "--tolerance", above=0.0, below=1.0)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    epsilon = _check_tolerance(args.tolerance)
+    epsilon = _tolerance(args, scenario)
     params = scenario.params
     report = classify(params, epsilon=epsilon)
     analysis = ratio_analysis(params)
@@ -67,7 +58,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         ("n_hat", _fmt(report.n_hat)),
         ("dominance", report.dominance.value),
         ("interval_J", interval),
-        ("roles_reversed", _fmt_bool(report.roles_reversed)),
+        ("roles_reversed", "true" if report.roles_reversed else "false"),
     ]
     if report.crossover_time is not None:
         lines.append(("crossover_time", _fmt(report.crossover_time)))
@@ -88,47 +79,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.mode in ("closed", "both"):
         closed_params = scenario.closed_form_params()
         grid = time_grid(params.t0, t_end, step)
-        closed_rows = [
-            (t, closed_form_B(closed_params, t), closed_form_B_star(closed_params, t))
-            for t in grid
-        ]
-    if args.mode in ("ode", "both"):
-        trajectory = integrate(p, q, params, t_end, method="rk4", step=step)
-
-    out_lines: list[str] = []
-    deviation = None
+        B = [closed_form_B(closed_params, t) for t in grid]
+        S = [closed_form_B_star(closed_params, t) for t in grid]
     if args.mode == "closed":
-        out_lines.append("t,B,B_star,p,q")
-        for t, B, S in closed_rows:
-            out_lines.append(
-                f"{_fmt(t)},{_fmt(B)},{_fmt(S)},{_fmt(p.value(t))},{_fmt(q.value(t))}"
-            )
-    elif args.mode == "ode":
-        out_lines.append("t,B,B_star,p,q")
-        for t, B, S, pv, qv in zip(
-            trajectory.times, trajectory.B, trajectory.B_star, trajectory.p, trajectory.q
-        ):
-            out_lines.append(f"{_fmt(t)},{_fmt(B)},{_fmt(S)},{_fmt(pv)},{_fmt(qv)}")
+        columns = [grid, B, S, [p.value(t) for t in grid], [q.value(t) for t in grid]]
     else:
-        out_lines.append("t,B,B_star,p,q,B_ode,B_star_ode")
-        deviation = 0.0
-        for (t, B, S), B_ode, S_ode, pv, qv in zip(
-            closed_rows, trajectory.B, trajectory.B_star, trajectory.p, trajectory.q
-        ):
-            deviation = max(deviation, abs(B_ode - B) / B, abs(S_ode - S) / S)
-            out_lines.append(
-                f"{_fmt(t)},{_fmt(B)},{_fmt(S)},{_fmt(pv)},{_fmt(qv)},"
-                f"{_fmt(B_ode)},{_fmt(S_ode)}"
-            )
-    _write_table(args.out, out_lines)
-    if deviation is not None:
+        tr = integrate(p, q, params, t_end, method="rk4", step=step)
+        if args.mode == "ode":
+            columns = [tr.times, tr.B, tr.B_star, tr.p, tr.q]
+        else:
+            columns = [grid, B, S, tr.p, tr.q, tr.B, tr.B_star]
+    header = "t,B,B_star,p,q" + (",B_ode,B_star_ode" if args.mode == "both" else "")
+    _write_table(args.out, [header] + [",".join(map(_fmt, row)) for row in zip(*columns)])
+    if args.mode == "both":
+        deviation = max_relative_deviation(tr.B, B, tr.B_star, S)
         print(f"max_relative_deviation: {_fmt(deviation)}")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    epsilon = _check_tolerance(args.tolerance)
+    epsilon = _tolerance(args, scenario)
     spec = parse_sweep(args.vary)
     rows = ["value,exponent_g,exponent_g_star,f_value,band,behavior_g,behavior_g_star,growth_case"]
     skipped: list[tuple[float, str]] = []
@@ -191,13 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     classify_p = sub.add_parser("classify", help="classify a scenario's long-run regime")
     classify_p.add_argument("--scenario", required=True, metavar="PATH")
-    classify_p.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_EPSILON,
-        metavar="REAL",
-        help="relative tolerance for boundary comparisons (default %(default)g)",
-    )
     classify_p.set_defaults(func=cmd_classify)
 
     simulate_p = sub.add_parser("simulate", help="write a trajectory table")
@@ -211,11 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--scenario", required=True, metavar="PATH")
     sweep_p.add_argument("--vary", required=True, metavar="NAME=START:STOP:STEP")
     sweep_p.add_argument("--out", required=True, metavar="PATH")
-    sweep_p.add_argument(
-        "--tolerance", type=float, default=DEFAULT_EPSILON, metavar="REAL",
-        help="relative tolerance for boundary comparisons (default %(default)g)",
-    )
     sweep_p.set_defaults(func=cmd_sweep)
+    for command in (classify_p, sweep_p):
+        command.add_argument(
+            "--tolerance", type=float, metavar="REAL",
+            help="relative tolerance for boundary comparisons "
+            "(default: the scenario's numerics.epsilon, itself 1e-09 by default)",
+        )
 
     calibrate_p = sub.add_parser("calibrate", help="fit a growth rate from a series file")
     calibrate_p.add_argument("--series", required=True, metavar="PATH")

@@ -15,13 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import DomainError, check_fields, checked
 from .numerics import adaptive_simpson
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import IncomeModel
-
-_SCENARIO_FIELDS = ("a", "a_star", "b", "b_star", "lam", "n", "B0", "B0_star", "p0", "t0")
 
 
 @dataclass(frozen=True)
@@ -52,18 +50,14 @@ class ScenarioParams:
     p0: float
     t0: float = 0.0
 
+    # Unannotated, so not a field: each field's strict lower bound (None: any finite value).
+    _bounds = {
+        "a": 0.0, "a_star": 0.0, "b": 0.0, "b_star": 0.0, "lam": 0.0,
+        "n": 0.0, "B0": 0.0, "B0_star": 0.0, "p0": 0.0, "t0": None,
+    }
+
     def __post_init__(self) -> None:
-        for name in _SCENARIO_FIELDS:
-            raw = getattr(self, name)
-            try:
-                value = float(raw)
-            except (TypeError, ValueError):
-                raise DomainError(f"{name} must be a real number, got {raw!r}") from None
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {raw!r}")
-            if name != "t0" and value <= 0.0:
-                raise DomainError(f"{name} must be > 0, got {raw!r}")
-            object.__setattr__(self, name, value)
+        check_fields(self, self._bounds)
 
 
 @dataclass(frozen=True)
@@ -85,32 +79,8 @@ class RatioAnalysis:
     n_hat: float
 
 
-def _as_float(value, name: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return out
-
-
-def _finite_positive(value, name: str) -> float:
-    out = _as_float(value, name)
-    if out <= 0.0:
-        raise DomainError(f"{name} must be > 0, got {value!r}")
-    return out
-
-
-def _finite_nonnegative(value, name: str) -> float:
-    out = _as_float(value, name)
-    if out < 0.0:
-        raise DomainError(f"{name} must be >= 0, got {value!r}")
-    return out
-
-
 def _elapsed(params: ScenarioParams, t) -> float:
-    t = _as_float(t, "t")
+    t = checked(t, "t")
     if t < params.t0:
         raise DomainError(f"t must be >= t0 = {params.t0}, got {t}")
     return t - params.t0
@@ -118,7 +88,7 @@ def _elapsed(params: ScenarioParams, t) -> float:
 
 def relative_value(x) -> float:
     """Fold a positive ratio onto [1, inf): x when x >= 1, else 1/x."""
-    x = _finite_positive(x, "x")
+    x = checked(x, "x", above=0.0)
     return x if x >= 1.0 else 1.0 / x
 
 
@@ -173,11 +143,11 @@ def general_wellbeing(
         DomainError: t < t0, negative sensitivities, non-positive B0, or
             a non-positive income wherever the integrand is evaluated.
     """
-    a = _finite_nonnegative(a, "a")
-    b = _finite_nonnegative(b, "b")
-    B0 = _finite_positive(B0, "B0")
-    t0 = _as_float(t0, "t0")
-    t = _as_float(t, "t")
+    a = checked(a, "a", at_least=0.0)
+    b = checked(b, "b", at_least=0.0)
+    B0 = checked(B0, "B0", above=0.0)
+    t0 = checked(t0, "t0")
+    t = checked(t, "t")
     if t < t0:
         raise DomainError(f"t must be >= t0 = {t0}, got {t}")
 

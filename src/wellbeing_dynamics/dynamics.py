@@ -1,4 +1,4 @@
-"""Independent numerical path: income models, ODE integration, quadrature.
+"""Independent numerical path: income models and ODE integration.
 
 The coupled system
 
@@ -15,14 +15,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 from .core import ScenarioParams, closed_form_B, closed_form_B_star
-from .errors import DomainError, IntegrationError
-from .numerics import adaptive_simpson
+from .errors import DomainError, IntegrationError, check_fields, checked, checked_points
 
 DEFAULT_STEP = 0.01
 DEFAULT_ADAPTIVE_TOL = 1e-8
+
+#: Most steps a uniform grid (simulate's time grid, a sweep) may span.
+#: Larger requests raise DomainError before anything is allocated.
+MAX_GRID_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -34,13 +37,17 @@ class ExponentialIncome:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        _validate_income_fields(self, rate_name="rate")
+        check_fields(self, {"p0": 0.0, "rate": None, "t0": None})
 
     def value(self, t: float) -> float:
         return self.p0 * math.exp(self.rate * (t - self.t0))
 
     def derivative(self, t: float) -> float:
         return self.rate * self.value(t)
+
+    def scaled(self, n: float) -> ExponentialIncome:
+        """The path n * p(t)."""
+        return ExponentialIncome(n * self.p0, self.rate, self.t0)
 
 
 @dataclass(frozen=True)
@@ -56,13 +63,17 @@ class LinearIncome:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        _validate_income_fields(self, rate_name="slope")
+        check_fields(self, {"p0": 0.0, "slope": None, "t0": None})
 
     def value(self, t: float) -> float:
         return self.p0 + self.slope * (t - self.t0)
 
     def derivative(self, t: float) -> float:
         return self.slope
+
+    def scaled(self, n: float) -> LinearIncome:
+        """The path n * p(t)."""
+        return LinearIncome(n * self.p0, n * self.slope, self.t0)
 
 
 @dataclass(frozen=True)
@@ -78,21 +89,9 @@ class TabulatedIncome:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        try:
-            pts = tuple((float(t), float(v)) for t, v in self.points)
-        except (TypeError, ValueError):
-            raise DomainError("tabulated income points must be (time, value) pairs") from None
-        if len(pts) < 2:
-            raise DomainError("tabulated income needs at least 2 points")
-        for t, v in pts:
-            if not (math.isfinite(t) and math.isfinite(v)):
-                raise DomainError(f"tabulated income point ({t!r}, {v!r}) is not finite")
-            if v <= 0.0:
-                raise DomainError(f"tabulated income must be positive, got {v} at t = {t}")
-        times = [t for t, _ in pts]
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-            raise DomainError("tabulated income times must be strictly increasing")
+        pts = checked_points(self.points, "tabulated income")
         object.__setattr__(self, "points", pts)
+        times = [t for t, _ in pts]
         values = [v for _, v in pts]
         slopes = [(values[1] - values[0]) / (times[1] - times[0])]
         for i in range(1, len(pts) - 1):
@@ -128,22 +127,12 @@ class TabulatedIncome:
         w = (t - times[i]) / (times[i + 1] - times[i])
         return slopes[i] + (slopes[i + 1] - slopes[i]) * w
 
+    def scaled(self, n: float) -> TabulatedIncome:
+        """The path n * p(t), sampled at the same nodes."""
+        return TabulatedIncome(tuple((t, n * v) for t, v in self.points))
+
 
 IncomeModel = Union[ExponentialIncome, LinearIncome, TabulatedIncome]
-
-
-def _validate_income_fields(model, *, rate_name: str) -> None:
-    for name in ("p0", rate_name, "t0"):
-        raw = getattr(model, name)
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            raise DomainError(f"{name} must be a real number, got {raw!r}") from None
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {raw!r}")
-        object.__setattr__(model, name, value)
-    if model.p0 <= 0.0:
-        raise DomainError(f"p0 must be > 0, got {model.p0}")
 
 
 @dataclass(frozen=True)
@@ -169,42 +158,36 @@ class Trajectory:
             raise DomainError("trajectory columns must be nonempty and equally long")
 
 
+def uniform_grid(start: float, span: float, step: float) -> list[float]:
+    """start, start + step, ... over every whole step in span, counting a
+    step that falls short of span by rounding alone. DomainError when the
+    grid would span more than MAX_GRID_STEPS steps."""
+    steps = span / step * (1.0 + 1e-12) + 1e-9
+    # floor(steps) <= MAX_GRID_STEPS; also false for inf and nan.
+    if not steps < MAX_GRID_STEPS + 1:
+        raise DomainError(f"grid of {steps:.10g} steps exceeds the limit of {MAX_GRID_STEPS}")
+    return [start + k * step for k in range(int(steps) + 1)]
+
+
 def time_grid(t0: float, t_end: float, step: float) -> list[float]:
     """Uniform sample times from t0 to t_end inclusive.
 
     The final point is exactly t_end; when the span is not an integer
     multiple of step, the last interval is shorter.
     """
-    if not (math.isfinite(t0) and math.isfinite(t_end)):
-        raise DomainError(f"time window must be finite, got [{t0!r}, {t_end!r}]")
-    if not (math.isfinite(step) and step > 0.0):
-        raise DomainError(f"step must be > 0, got {step!r}")
+    t0 = checked(t0, "t0")
+    t_end = checked(t_end, "t_end")
+    step = checked(step, "step", above=0.0)
     if t_end < t0:
         raise DomainError(f"t_end must be >= t0, got t_end = {t_end} < t0 = {t0}")
     if t_end == t0:
         return [t0]
-    span = t_end - t0
-    count = int(math.floor(span / step * (1.0 + 1e-12) + 1e-9))
-    times = [t0 + k * step for k in range(count + 1)]
+    times = uniform_grid(t0, t_end - t0, step)
     if times[-1] >= t_end or (t_end - times[-1]) <= 1e-9 * step:
         times[-1] = t_end
     else:
         times.append(t_end)
     return times
-
-
-def _income_sample(p: IncomeModel, q: IncomeModel, t: float) -> tuple[float, float]:
-    pv = p.value(t)
-    qv = q.value(t)
-    if pv <= 0.0 or qv <= 0.0:
-        raise _NonPositiveIncome(t)
-    return pv, qv
-
-
-class _NonPositiveIncome(Exception):
-    def __init__(self, t: float):
-        super().__init__(t)
-        self.t = t
 
 
 def integrate(
@@ -240,48 +223,47 @@ def integrate(
     """
     if method not in ("rk4", "rkf45"):
         raise DomainError(f"method must be 'rk4' or 'rkf45', got {method!r}")
-    if not (math.isfinite(t_end) and t_end >= params.t0):
-        raise DomainError(f"t_end must be finite and >= t0 = {params.t0}, got {t_end!r}")
+    t_end = checked(t_end, "t_end")
+    if t_end < params.t0:
+        raise DomainError(f"t_end must be >= t0 = {params.t0}, got {t_end!r}")
 
     a, b = params.a, params.b
     a_s, b_s = params.a_star, params.b_star
+    times, cols_B, cols_S, cols_p, cols_q = [], [], [], [], []
+
+    def failure(message: str) -> IntegrationError:
+        # Carries the last recorded sample; none exists before t0 is recorded.
+        last = (times[-1], (cols_B[-1], cols_S[-1])) if times else (None, None)
+        return IntegrationError(message, last_time=last[0], last_state=last[1])
+
+    def incomes(t: float) -> tuple[float, float]:
+        pv = p.value(t)
+        qv = q.value(t)
+        if pv <= 0.0 or qv <= 0.0:
+            raise failure(f"non-positive income sample at t = {t}")
+        return pv, qv
 
     def rhs(t: float, B: float, S: float) -> tuple[float, float]:
-        pv, qv = _income_sample(p, q, t)
+        pv, qv = incomes(t)
         dB = (a * p.derivative(t) / pv - b * qv / pv) * B
         dS = (a_s * q.derivative(t) / qv - b_s * pv / qv) * S
         return dB, dS
 
-    times = [params.t0]
-    pv0, qv0 = _income_sample_checked(p, q, params.t0)
-    cols_B, cols_S = [params.B0], [params.B0_star]
-    cols_p, cols_q = [pv0], [qv0]
-
     def record(t: float, B: float, S: float) -> None:
         if B <= 0.0 or S <= 0.0 or not (math.isfinite(B) and math.isfinite(S)):
-            raise IntegrationError(
-                f"state left the positive domain at t = {t}",
-                last_time=times[-1],
-                last_state=(cols_B[-1], cols_S[-1]),
-            )
-        pv, qv = _income_sample_checked(p, q, t, times[-1], (cols_B[-1], cols_S[-1]))
+            raise failure(f"state left the positive domain at t = {t}")
+        pv, qv = incomes(t)
         times.append(t)
         cols_B.append(B)
         cols_S.append(S)
         cols_p.append(pv)
         cols_q.append(qv)
 
-    try:
-        if method == "rk4":
-            _run_rk4(rhs, params, t_end, step, record)
-        else:
-            _run_rkf45(rhs, params, t_end, step, tol, record)
-    except _NonPositiveIncome as exc:
-        raise IntegrationError(
-            f"non-positive income sample at t = {exc.t}",
-            last_time=times[-1],
-            last_state=(cols_B[-1], cols_S[-1]),
-        ) from None
+    record(params.t0, params.B0, params.B0_star)
+    if method == "rk4":
+        _run_rk4(rhs, params, t_end, step, record)
+    else:
+        _run_rkf45(rhs, params, t_end, step, tol, record)
 
     return Trajectory(
         times=tuple(times),
@@ -295,20 +277,7 @@ def integrate(
     )
 
 
-def _income_sample_checked(p, q, t, last_time=None, last_state=None):
-    try:
-        return _income_sample(p, q, t)
-    except _NonPositiveIncome as exc:
-        raise IntegrationError(
-            f"non-positive income sample at t = {exc.t}",
-            last_time=last_time,
-            last_state=last_state,
-        ) from None
-
-
 def _run_rk4(rhs, params: ScenarioParams, t_end, step, record) -> None:
-    if not (math.isfinite(step) and step > 0.0):
-        raise DomainError(f"step must be > 0, got {step!r}")
     grid = time_grid(params.t0, t_end, step)
     t = grid[0]
     B, S = params.B0, params.B0_star
@@ -340,10 +309,8 @@ _RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
 
 
 def _run_rkf45(rhs, params: ScenarioParams, t_end, step, tol, record) -> None:
-    if not (math.isfinite(step) and step > 0.0):
-        raise DomainError(f"step must be > 0, got {step!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be > 0, got {tol!r}")
+    step = checked(step, "step", above=0.0)
+    tol = checked(tol, "tol", above=0.0)
     span = t_end - params.t0
     if span == 0.0:
         return
@@ -380,22 +347,6 @@ def _run_rkf45(rhs, params: ScenarioParams, t_end, step, tol, record) -> None:
         h *= min(5.0, max(0.2, factor))
 
 
-def quadrature(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 50,
-) -> tuple[float, float]:
-    """Adaptive Simpson integral of f over [a, b]; see numerics module.
-
-    Returns (value, error_estimate). Exact for polynomials up to
-    degree 3 on a single panel, so constant and linear integrands come
-    back without subdivision.
-    """
-    return adaptive_simpson(f, a, b, tol=tol, max_depth=max_depth)
-
-
 def cross_validate(
     params: ScenarioParams,
     horizon: float,
@@ -410,19 +361,19 @@ def cross_validate(
     t0 + horizon, and compares both components at every sample time.
     horizon 0 compares initial conditions only and returns 0.
     """
-    horizon = float(horizon)
-    if not (math.isfinite(horizon) and horizon >= 0.0):
-        raise DomainError(f"horizon must be >= 0, got {horizon!r}")
+    horizon = checked(horizon, "horizon", at_least=0.0)
     p = ExponentialIncome(params.p0, params.lam, params.t0)
-    q = ExponentialIncome(params.n * params.p0, params.lam, params.t0)
     trajectory = integrate(
-        p, q, params, params.t0 + horizon, method=method, step=step, tol=tol
+        p, p.scaled(params.n), params, params.t0 + horizon, method=method, step=step, tol=tol
     )
+    B_ref = (closed_form_B(params, t) for t in trajectory.times)
+    S_ref = (closed_form_B_star(params, t) for t in trajectory.times)
+    return max_relative_deviation(trajectory.B, B_ref, trajectory.B_star, S_ref)
+
+
+def max_relative_deviation(B, B_ref, S, S_ref) -> float:
+    """Worst |x - ref| / ref over both well-being columns; 0 for no rows."""
     worst = 0.0
-    for t, B_num, S_num in zip(trajectory.times, trajectory.B, trajectory.B_star):
-        B_ref = closed_form_B(params, t)
-        S_ref = closed_form_B_star(params, t)
-        worst = max(
-            worst, abs(B_num - B_ref) / B_ref, abs(S_num - S_ref) / S_ref
-        )
+    for B_num, B_exact, S_num, S_exact in zip(B, B_ref, S, S_ref):
+        worst = max(worst, abs(B_num - B_exact) / B_exact, abs(S_num - S_exact) / S_exact)
     return worst

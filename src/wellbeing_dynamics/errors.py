@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the input checks shared across the package."""
+
+import math
 
 
 class WellbeingError(Exception):
@@ -35,3 +37,49 @@ class QuadratureError(WellbeingError, RuntimeError):
         super().__init__(message)
         self.partial = partial
         self.error_estimate = error_estimate
+
+
+def checked(value, name: str, above=None, below=None, at_least=None) -> float:
+    """Return value as a finite float within the given bounds.
+
+    above and below are strict bounds, at_least is inclusive; None skips
+    a bound. The DomainError names the value and quotes it as given.
+    """
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    if above is not None and out <= above:
+        raise DomainError(f"{name} must be > {above:g}, got {value!r}")
+    if below is not None and out >= below:
+        raise DomainError(f"{name} must be < {below:g}, got {value!r}")
+    if at_least is not None and out < at_least:
+        raise DomainError(f"{name} must be >= {at_least:g}, got {value!r}")
+    return out
+
+
+def check_fields(obj, bounds: dict) -> None:
+    """Store each frozen-dataclass field named in bounds as checked(value, name, bound)."""
+    for name, bound in bounds.items():
+        # Positional: CPython calls it faster than by keyword, and sweeps check ten per row.
+        object.__setattr__(obj, name, checked(getattr(obj, name), name, bound))
+
+
+def checked_points(points, label: str) -> tuple[tuple[float, float], ...]:
+    """Validate (time, value) samples: at least two, finite, positive
+    values, strictly increasing times. Returns them as float pairs."""
+    try:
+        pairs = [(t, v) for t, v in points]
+    except (TypeError, ValueError):
+        raise DomainError(f"{label} points must be (time, value) pairs") from None
+    if len(pairs) < 2:
+        raise DomainError(f"{label} needs at least 2 points")
+    pts = tuple(
+        (checked(t, f"{label} time"), checked(v, f"{label} value at t = {t}", above=0.0))
+        for t, v in pairs
+    )
+    if any(t1 >= t2 for (t1, _), (t2, _) in zip(pts, pts[1:])):
+        raise DomainError(f"{label} times must be strictly increasing")
+    return pts

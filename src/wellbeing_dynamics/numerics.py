@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, checked
 
 
 def adaptive_simpson(
@@ -38,12 +37,11 @@ def adaptive_simpson(
         QuadratureError: max_depth exceeded; carries the partial value
             assembled from everything processed or pending so far.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"integration limits must be finite, got [{a!r}, {b!r}]")
+    a = checked(a, "lower integration limit")
+    b = checked(b, "upper integration limit")
     if b < a:
         raise DomainError(f"integration interval is reversed: [{a}, {b}]")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be a positive finite number, got {tol!r}")
+    tol = checked(tol, "tol", above=0.0)
     if a == b:
         return 0.0, 0.0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import ScenarioParams, ratio_analysis
-from .errors import DomainError
+from .errors import DomainError, checked
 
 DEFAULT_EPSILON = 1e-9
 
@@ -96,24 +96,22 @@ class BracketCheck:
     passed: bool
 
 
-def _check_epsilon(epsilon: float) -> float:
-    try:
-        epsilon = float(epsilon)
-    except (TypeError, ValueError):
-        raise DomainError(f"epsilon must be a real number, got {epsilon!r}") from None
-    if not (math.isfinite(epsilon) and 0.0 < epsilon < 1.0):
-        raise DomainError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    return epsilon
-
-
 def growth_case(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> GrowthCase:
     """Compare lam**2 against b*b_star/(a*a_star) with relative tolerance."""
-    epsilon = _check_epsilon(epsilon)
+    epsilon = checked(epsilon, "epsilon", above=0.0, below=1.0)
     lhs = params.lam**2
     rhs = (params.b * params.b_star) / (params.a * params.a_star)
     if math.isclose(lhs, rhs, rel_tol=epsilon):
         return GrowthCase.CRITICAL
     return GrowthCase.LOW if lhs < rhs else GrowthCase.HIGH
+
+
+def _regime(params: ScenarioParams, epsilon) -> tuple[float, GrowthCase, float, float]:
+    """Checked epsilon, growth case, boundary_g and boundary_g_star."""
+    epsilon = checked(epsilon, "epsilon", above=0.0, below=1.0)
+    boundary_g = params.a * params.lam / params.b
+    boundary_g_star = params.b_star / (params.a_star * params.lam)
+    return epsilon, growth_case(params, epsilon), boundary_g, boundary_g_star
 
 
 def _behavior(growth_term: float, loss_term: float, epsilon: float) -> Behavior:
@@ -128,8 +126,7 @@ def _band(n: float, boundary_g: float, boundary_g_star: float, epsilon: float) -
         n, boundary_g_star, rel_tol=epsilon
     ):
         return Band.BOUNDARY
-    lo = min(boundary_g, boundary_g_star)
-    hi = max(boundary_g, boundary_g_star)
+    lo, hi = sorted((boundary_g, boundary_g_star))
     if n < lo:
         return Band.LOW
     if n > hi:
@@ -145,10 +142,7 @@ def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Regime
     reported as Boundary. Dominance compares n against n_hat under the
     equal-start convention.
     """
-    epsilon = _check_epsilon(epsilon)
-    case = growth_case(params, epsilon)
-    boundary_g = params.a * params.lam / params.b
-    boundary_g_star = params.b_star / (params.a_star * params.lam)
+    epsilon, case, boundary_g, boundary_g_star = _regime(params, epsilon)
     analysis = ratio_analysis(params)
 
     behavior_g = _behavior(params.a * params.lam, params.b * params.n, epsilon)
@@ -193,28 +187,22 @@ def double_positive_interval(
     b_star/(a_star*lam) < a*lam/b strictly; the Critical case has a
     degenerate (empty) interval and returns None.
     """
-    if growth_case(params, epsilon) is not GrowthCase.HIGH:
-        return None
-    return (
-        params.b_star / (params.a_star * params.lam),
-        params.a * params.lam / params.b,
-    )
+    _, case, boundary_g, boundary_g_star = _regime(params, epsilon)
+    return (boundary_g_star, boundary_g) if case is GrowthCase.HIGH else None
 
 
 def low_band_feasibility(
     params: ScenarioParams, epsilon: float = DEFAULT_EPSILON
 ) -> FeasibilityRecord:
     """Report whether {n : 1 <= n < Low band's upper edge} is nonempty."""
-    case = growth_case(params, epsilon)
-    own_margin = params.a * params.lam / params.b
-    favored_margin = params.a_star * params.lam / params.b_star
-    low_band_upper = min(own_margin, params.b_star / (params.a_star * params.lam))
+    _, case, boundary_g, boundary_g_star = _regime(params, epsilon)
+    low_band_upper = min(boundary_g, boundary_g_star)
     return FeasibilityRecord(
         growth_case=case,
         low_band_upper=low_band_upper,
         feasible=low_band_upper > 1.0,
-        own_margin=own_margin,
-        favored_margin=favored_margin,
+        own_margin=boundary_g,
+        favored_margin=params.a_star * params.lam / params.b_star,
     )
 
 
@@ -231,12 +219,9 @@ def verify_nhat_bracketing(
         DomainError: for the Critical case, where the middle band
             collapses and the check does not apply.
     """
-    epsilon = _check_epsilon(epsilon)
-    case = growth_case(params, epsilon)
+    epsilon, case, boundary_g, boundary_g_star = _regime(params, epsilon)
     if case is GrowthCase.CRITICAL:
         raise DomainError("bracketing check does not apply to the Critical growth case")
-    boundary_g = params.a * params.lam / params.b
-    boundary_g_star = params.b_star / (params.a_star * params.lam)
     if case is GrowthCase.LOW:
         lower, upper = boundary_g, boundary_g_star
     else:

@@ -9,26 +9,19 @@ naming the key, so a typo in a parameter name can never pass silently.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .core import ScenarioParams
-from .dynamics import ExponentialIncome, IncomeModel, LinearIncome, TabulatedIncome
-from .errors import DomainError
+from .dynamics import (DEFAULT_STEP, ExponentialIncome, IncomeModel, LinearIncome,
+                       TabulatedIncome, uniform_grid)
+from .errors import DomainError, checked
+from .regime import DEFAULT_EPSILON
 
-#: file key -> ScenarioParams field
+#: file key -> ScenarioParams field; only "lambda", a Python keyword, is renamed
 PARAM_KEYS = {
-    "a": "a",
-    "a_star": "a_star",
-    "b": "b",
-    "b_star": "b_star",
-    "lambda": "lam",
-    "n": "n",
-    "B0": "B0",
-    "B0_star": "B0_star",
-    "p0": "p0",
-    "t0": "t0",
+    key: "lam" if key == "lambda" else key
+    for key in ("a", "a_star", "b", "b_star", "lambda", "n", "B0", "B0_star", "p0", "t0")
 }
 
 _TOP_LEVEL_KEYS = set(PARAM_KEYS) | {"income_model", "numerics"}
@@ -44,19 +37,22 @@ SWEEPABLE = ("a", "a_star", "b", "b_star", "lambda", "n")
 
 @dataclass(frozen=True)
 class NumericsOptions:
-    """Numerical knobs a scenario file may override."""
+    """Numerical knobs a scenario file may override.
 
-    step: float = 0.01
-    epsilon: float = 1e-9
+    step is simulate's integrator step and epsilon the default tolerance
+    of classify and sweep. quad_tol is validated but no command reads it.
+    """
+
+    step: float = DEFAULT_STEP
+    epsilon: float = DEFAULT_EPSILON
     quad_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         for name in ("step", "epsilon", "quad_tol"):
+            below = 1.0 if name == "epsilon" else None
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise DomainError(f"numerics key '{name}' must be a positive number")
-        if self.epsilon >= 1.0:
-            raise DomainError("numerics key 'epsilon' must be < 1")
+            value = checked(value, f"numerics key '{name}'", above=0.0, below=below)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -69,17 +65,10 @@ class Scenario:
 
     def income_pair(self) -> tuple[IncomeModel, IncomeModel]:
         """Build the (p, q) pair with q = n * p pointwise."""
-        n = self.params.n
         p = self.income
         if p is None:
             p = ExponentialIncome(self.params.p0, self.params.lam, self.params.t0)
-        if isinstance(p, ExponentialIncome):
-            q = ExponentialIncome(n * p.p0, p.rate, p.t0)
-        elif isinstance(p, LinearIncome):
-            q = LinearIncome(n * p.p0, n * p.slope, p.t0)
-        else:
-            q = TabulatedIncome(tuple((t, n * v) for t, v in p.points))
-        return p, q
+        return p, p.scaled(self.params.n)
 
     def exponential_rate(self) -> float | None:
         """Growth rate when the effective income is exponential, else None."""
@@ -94,13 +83,11 @@ class Scenario:
 
         Raises:
             DomainError: when the income path is not exponential, so no
-                closed form applies.
+                closed form applies, or its rate is not positive.
         """
         rate = self.exponential_rate()
         if rate is None:
             raise DomainError("closed-form evaluation requires an exponential income path")
-        if rate <= 0.0:
-            raise DomainError(f"closed-form evaluation requires a positive rate, got {rate}")
         if rate == self.params.lam:
             return self.params
         return replace(self.params, lam=rate)
@@ -112,13 +99,18 @@ def _require_number(value, key: str, origin: str) -> float:
     return float(value)
 
 
+def _check_keys(block, allowed: set, origin: str, where: str) -> None:
+    """Reject a block that is not a JSON object or has a key outside allowed."""
+    if not isinstance(block, dict):
+        raise DomainError(f"{origin}: {where} must be an object")
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise DomainError(f"{origin}: unknown key '{unknown[0]}' in {where}")
+
+
 def parse_scenario(doc, origin: str = "scenario") -> Scenario:
     """Validate a decoded scenario document and build a Scenario."""
-    if not isinstance(doc, dict):
-        raise DomainError(f"{origin}: top level must be an object")
-    unknown = sorted(set(doc) - _TOP_LEVEL_KEYS)
-    if unknown:
-        raise DomainError(f"{origin}: unknown key '{unknown[0]}'")
+    _check_keys(doc, _TOP_LEVEL_KEYS, origin, "scenario")
     missing = sorted(set(PARAM_KEYS) - set(doc))
     if missing:
         raise DomainError(f"{origin}: missing key '{missing[0]}'")
@@ -142,9 +134,7 @@ def _parse_income(block, params: ScenarioParams, origin: str) -> IncomeModel | N
             f"{origin}: income_model type must be one of "
             f"{sorted(_INCOME_KEYS)}, got {kind!r}"
         )
-    unknown = sorted(set(block) - _INCOME_KEYS[kind])
-    if unknown:
-        raise DomainError(f"{origin}: unknown key '{unknown[0]}' in income_model")
+    _check_keys(block, _INCOME_KEYS[kind], origin, "income_model")
     if kind == "exponential":
         rate = params.lam
         if "rate" in block:
@@ -172,11 +162,7 @@ def _parse_income(block, params: ScenarioParams, origin: str) -> IncomeModel | N
 def _parse_numerics(block, origin: str) -> NumericsOptions:
     if block is None:
         return NumericsOptions()
-    if not isinstance(block, dict):
-        raise DomainError(f"{origin}: 'numerics' must be an object")
-    unknown = sorted(set(block) - _NUMERICS_KEYS)
-    if unknown:
-        raise DomainError(f"{origin}: unknown key '{unknown[0]}' in numerics")
+    _check_keys(block, _NUMERICS_KEYS, origin, "numerics")
     values = {key: _require_number(block[key], key, origin) for key in block}
     return NumericsOptions(**values)
 
@@ -216,22 +202,21 @@ class SweepSpec:
             raise DomainError(
                 f"sweep parameter must be one of {', '.join(SWEEPABLE)}; got {self.name!r}"
             )
-        for field in ("start", "stop", "step"):
-            value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise DomainError(f"sweep {field} must be a finite number, got {value!r}")
-            object.__setattr__(self, field, float(value))
+        for field, above in (("start", None), ("stop", None), ("step", 0.0)):
+            value = checked(getattr(self, field), f"sweep {field}", above=above)
+            object.__setattr__(self, field, value)
         if not self.start < self.stop:
             raise DomainError(
                 f"sweep start must be < stop, got {self.start} >= {self.stop}"
             )
-        if self.step <= 0.0:
-            raise DomainError(f"sweep step must be > 0, got {self.step}")
 
     def grid(self) -> list[float]:
-        """Grid values start, start+step, ... up to stop inclusive."""
-        count = int(math.floor((self.stop - self.start) / self.step * (1.0 + 1e-12) + 1e-9))
-        return [self.start + k * self.step for k in range(count + 1)]
+        """Grid values start, start+step, ... up to stop inclusive.
+
+        Raises:
+            DomainError: the grid would span more than MAX_GRID_STEPS steps.
+        """
+        return uniform_grid(self.start, self.stop - self.start, self.step)
 
 
 def parse_sweep(text: str) -> SweepSpec:

@@ -112,6 +112,17 @@ class TestClassify:
         r = run_cli("classify", "--scenario", scenario, "--tolerance", "2.0")
         assert r.returncode == 2
 
+    def test_numerics_epsilon_is_the_default_tolerance(self, tmp_path):
+        # n = 2.1 lies 5% above boundary_g = a*lambda/b = 2.
+        sc = write_scenario(tmp_path / "e.json", n=2.1, numerics={"epsilon": 0.1})
+        assert parse_report(run_cli("classify", "--scenario", sc).stdout)["band"] == "Boundary"
+        r = run_cli("classify", "--scenario", sc, "--tolerance", "1e-9")
+        assert parse_report(r.stdout)["band"] == "High"
+        out = tmp_path / "sweep.csv"
+        r = run_cli("sweep", "--scenario", sc, "--vary", "n=2.1:2.2:0.5", "--out", str(out))
+        assert r.returncode == 0
+        assert out.read_text().splitlines()[1].split(",")[4] == "Boundary"
+
 
 class TestSimulate:
     def test_closed_mode_table(self, scenario, tmp_path):
@@ -251,6 +262,18 @@ class TestSweep:
         r = run_cli("sweep", "--scenario", scenario, "--vary", "B0=1:2:0.5",
                     "--out", str(tmp_path / "x.csv"))
         assert r.returncode == 2
+
+    def test_oversized_grid_exits_2(self, scenario, tmp_path):
+        out = tmp_path / "x.csv"
+        r = run_cli("sweep", "--scenario", scenario, "--vary", "n=0:1e308:1e-308",
+                    "--out", str(out))
+        assert r.returncode == 2
+        assert "exceeds the limit" in r.stderr
+        assert not out.exists()
+        r = run_cli("simulate", "--scenario", scenario, "--t-end", "1e12",
+                    "--mode", "ode", "--out", str(out))
+        assert r.returncode == 2
+        assert "exceeds the limit" in r.stderr
 
     def test_malformed_vary_exits_2(self, scenario, tmp_path):
         r = run_cli("sweep", "--scenario", scenario, "--vary", "n=1:2",

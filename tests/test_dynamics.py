@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import mpmath as mp
@@ -22,10 +23,10 @@ from wellbeing_dynamics import (
     closed_form_B_star,
     cross_validate,
     integrate,
-    quadrature,
     time_grid,
 )
-from wellbeing_dynamics.dynamics import _run_rk4, _run_rkf45
+from wellbeing_dynamics.dynamics import MAX_GRID_STEPS, _run_rk4, _run_rkf45, uniform_grid
+from wellbeing_dynamics.numerics import adaptive_simpson
 from conftest import draw_params, uniform
 
 mp.mp.dps = 50
@@ -98,7 +99,7 @@ class TestTabulatedIncome:
             TabulatedIncome(((0.0, 1.0),))
 
     def test_rejects_nonpositive_values(self):
-        with pytest.raises(DomainError, match="positive"):
+        with pytest.raises(DomainError, match="must be > 0"):
             TabulatedIncome(((0.0, 1.0), (1.0, 0.0)))
 
     def test_rejects_unsorted_times(self):
@@ -146,6 +147,23 @@ class TestTimeGrid:
             time_grid(0.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             time_grid(1.0, 0.0, 0.1)
+
+    def test_request_just_over_the_cap_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="exceeds the limit"):
+                time_grid(0.0, MAX_GRID_STEPS + 1.0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A grid at the cap would hold a million floats (tens of MB).
+        assert peak < 100_000
+
+    def test_infinite_step_count_refused(self):
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            time_grid(-1e308, 1e308, 1.0)
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            uniform_grid(0.0, 1e308, 1e-308)
 
 
 class TestIntegrate:
@@ -292,12 +310,12 @@ class TestAdaptiveIntegrate:
 
 class TestQuadrature:
     def test_constant_integrand_exact(self):
-        value, err = quadrature(lambda s: 2.5, 1.0, 4.0)
+        value, err = adaptive_simpson(lambda s: 2.5, 1.0, 4.0)
         assert value == 7.5
         assert err == 0.0
 
     def test_exponential_integrand(self):
-        value, err = quadrature(math.exp, 0.0, 1.0, tol=1e-10)
+        value, err = adaptive_simpson(math.exp, 0.0, 1.0, tol=1e-10)
         oracle = float(mp.e - 1)
         assert abs(value - oracle) < 1e-10
         assert err <= 1e-10
@@ -306,29 +324,29 @@ class TestQuadrature:
         # q/p constant at n: integral over [t0, t] is exactly n*(t - t0).
         p = ExponentialIncome(1.0, 0.07)
         q = ExponentialIncome(3.0, 0.07)
-        value, _ = quadrature(lambda s: q.value(s) / p.value(s), 2.0, 9.0)
+        value, _ = adaptive_simpson(lambda s: q.value(s) / p.value(s), 2.0, 9.0)
         assert math.isclose(value, 3.0 * 7.0, rel_tol=1e-14)
 
     def test_oscillatory_integrand_against_oracle(self):
-        value, _ = quadrature(lambda s: math.sin(3.0 * s), 0.0, 2.0, tol=1e-12)
+        value, _ = adaptive_simpson(lambda s: math.sin(3.0 * s), 0.0, 2.0, tol=1e-12)
         oracle = float((1 - mp.cos(mp.mpf(6))) / 3)
         assert math.isclose(value, oracle, rel_tol=1e-9)
 
     def test_degenerate_interval(self):
-        assert quadrature(math.exp, 2.0, 2.0) == (0.0, 0.0)
+        assert adaptive_simpson(math.exp, 2.0, 2.0) == (0.0, 0.0)
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(DomainError):
-            quadrature(math.exp, 1.0, 0.0)
+            adaptive_simpson(math.exp, 1.0, 0.0)
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(DomainError):
-            quadrature(math.exp, 0.0, 1.0, tol=0.0)
+            adaptive_simpson(math.exp, 0.0, 1.0, tol=0.0)
 
     def test_depth_exhaustion_reports_partial(self):
         with pytest.raises(QuadratureError) as exc_info:
-            quadrature(lambda s: math.sin(40.0 * s), 0.0, 10.0,
-                       tol=1e-13, max_depth=3)
+            adaptive_simpson(lambda s: math.sin(40.0 * s), 0.0, 10.0,
+                             tol=1e-13, max_depth=3)
         err = exc_info.value
         assert err.partial is not None
         assert math.isfinite(err.partial)

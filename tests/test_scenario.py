@@ -110,7 +110,7 @@ class TestIncomeOverrides:
         assert sc.income.value(0.0) == 2.0
 
     def test_tabulated_rejects_nonpositive_entries(self):
-        with pytest.raises(DomainError, match="positive"):
+        with pytest.raises(DomainError, match="must be > 0"):
             parse_scenario(
                 doc(income_model={"type": "tabulated",
                                   "points": [[0, 2.0], [5, 0.0]]}),
@@ -224,3 +224,9 @@ class TestSweepSpec:
     def test_values_must_be_finite(self):
         with pytest.raises(DomainError):
             parse_sweep(f"n=1:{math.inf}:1")
+
+    def test_grid_size_is_capped(self):
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            parse_sweep("n=0:1e308:1e-308").grid()
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            parse_sweep("n=1:1000002:1").grid()
