@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .calibration import fit_growth_rate, read_income_series, scenario_from_data
+# Unused here; kept so cli.ratio_analysis resolves for the wrappers in bench/layers.py.
 from .core import closed_form_B, closed_form_B_star, exponent_g, exponent_g_star, ratio_analysis
 from .dynamics import integrate, max_relative_deviation, time_grid
 from .errors import DomainError, IntegrationError, QuadratureError, checked
@@ -38,7 +39,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     epsilon = _tolerance(args, scenario)
     params = scenario.params
     report = classify(params, epsilon=epsilon)
-    analysis = ratio_analysis(params)
     if report.interval_j is None:
         interval = "none"
     else:
@@ -53,8 +53,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         ("behavior_g_star", report.behavior_g_star.value),
         ("exponent_g", _fmt(exponent_g(params))),
         ("exponent_g_star", _fmt(exponent_g_star(params))),
-        ("g_rate", _fmt(analysis.g_rate)),
-        ("f_value", _fmt(analysis.f_value)),
+        ("g_rate", _fmt(report.g_rate)),
+        ("f_value", _fmt(report.f_value)),
         ("n_hat", _fmt(report.n_hat)),
         ("dominance", report.dominance.value),
         ("interval_J", interval),
@@ -111,10 +111,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             skipped.append((value, str(exc)))
             continue
         report = classify(params, epsilon=epsilon)
-        analysis = ratio_analysis(params)
         rows.append(
             f"{_fmt(value)},{_fmt(exponent_g(params))},{_fmt(exponent_g_star(params))},"
-            f"{_fmt(analysis.f_value)},{report.band.value},{report.behavior_g.value},"
+            f"{_fmt(report.f_value)},{report.band.value},{report.behavior_g.value},"
             f"{report.behavior_g_star.value},{report.growth_case.value}"
         )
     for value, reason in skipped:

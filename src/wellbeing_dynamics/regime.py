@@ -53,7 +53,8 @@ class RegimeReport:
     elapsed time after t0 at which B and B* meet (negative if the
     crossing lies in the past), or None when the ratio is constant.
     roles_reversed flags n < 1, where the nominally favored group
-    actually earns less.
+    actually earns less. g_rate (the exact rate of ln(B/B*)) and f_value
+    (the sign quadratic at n) are those of the scenario's RatioAnalysis.
     """
 
     growth_case: GrowthCase
@@ -63,6 +64,8 @@ class RegimeReport:
     behavior_g: Behavior
     behavior_g_star: Behavior
     n_hat: float
+    g_rate: float
+    f_value: float
     interval_j: tuple[float, float] | None
     dominance: Dominance
     roles_reversed: bool
@@ -171,6 +174,8 @@ def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Regime
         behavior_g=behavior_g,
         behavior_g_star=behavior_g_star,
         n_hat=analysis.n_hat,
+        g_rate=analysis.g_rate,
+        f_value=analysis.f_value,
         interval_j=interval_j,
         dominance=dominance,
         roles_reversed=params.n < 1.0,

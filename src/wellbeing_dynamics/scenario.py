@@ -9,7 +9,7 @@ naming the key, so a typo in a parameter name can never pass silently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import ScenarioParams
@@ -90,7 +90,7 @@ class Scenario:
             raise DomainError("closed-form evaluation requires an exponential income path")
         if rate == self.params.lam:
             return self.params
-        return replace(self.params, lam=rate)
+        return with_param(self.params, "lambda", rate)
 
 
 def _require_number(value, key: str, origin: str) -> float:
@@ -182,10 +182,15 @@ def load_scenario(path) -> Scenario:
 
 
 def with_param(params: ScenarioParams, name: str, value: float) -> ScenarioParams:
-    """Copy params with one file-keyed parameter replaced."""
-    if name not in PARAM_KEYS:
+    """Copy params with one file-keyed parameter replaced. Only that field is
+    checked; the others were checked when the frozen params was built."""
+    field = PARAM_KEYS.get(name)
+    if field is None:
         raise DomainError(f"unknown parameter name {name!r}")
-    return replace(params, **{PARAM_KEYS[name]: value})
+    value = checked(value, field, ScenarioParams._bounds[field])
+    copy = object.__new__(ScenarioParams)
+    copy.__dict__.update(params.__dict__, **{field: value})
+    return copy
 
 
 @dataclass(frozen=True)

@@ -280,6 +280,26 @@ class TestSweep:
                     "--out", str(tmp_path / "x.csv"))
         assert r.returncode == 2
 
+    def test_one_ratio_analysis_per_row(self, scenario, tmp_path, monkeypatch):
+        # A deterministic work counter, not a timing: each module's binding
+        # of ratio_analysis counts into the same list.
+        from wellbeing_dynamics import cli, core, regime
+
+        calls = []
+
+        def counting(params):
+            calls.append(params)
+            return core.ratio_analysis(params)
+
+        monkeypatch.setattr(regime, "ratio_analysis", counting)
+        monkeypatch.setattr(cli, "ratio_analysis", counting)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--scenario", scenario, "--vary", "n=0.1:10:0.1",
+                         "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 100
+        assert len(calls) == len(rows)
+
 
 class TestCalibrate:
     def write_series(self, path, rows):

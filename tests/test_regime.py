@@ -156,6 +156,17 @@ class TestClassify:
             assert r.growth_case is growth_case(p)
             assert (r.interval_j is not None) == (r.growth_case is GrowthCase.HIGH)
 
+    def test_report_carries_ratio_analysis(self):
+        # The first 2000 draws of acceptance criteria 2 (seeds 202, 203) and 3 (seed 303).
+        for seed, draw in ((202, lambda rng: draw_case_params(rng, "low")),
+                           (203, lambda rng: draw_case_params(rng, "high")),
+                           (303, lambda rng: draw_params(rng, n=(0.05, 8.0)))):
+            rng = random.Random(seed)
+            for _ in range(2000):
+                p = draw(rng)
+                r, ra = classify(p), ratio_analysis(p)
+                assert (r.g_rate, r.f_value) == (ra.g_rate, ra.f_value), p
+
 
 class TestTableFidelity:
     @pytest.mark.parametrize("case,table", [("low", TABLE_LOW), ("high", TABLE_HIGH)])

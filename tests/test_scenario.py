@@ -4,20 +4,25 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wellbeing_dynamics import (
     DomainError,
     ExponentialIncome,
     LinearIncome,
     NumericsOptions,
+    ScenarioParams,
     SweepSpec,
     TabulatedIncome,
     load_scenario,
     parse_scenario,
     parse_sweep,
 )
+from wellbeing_dynamics.scenario import PARAM_KEYS, SWEEPABLE, with_param
 
 BASE = {
     "a": 1.0, "a_star": 1.0, "b": 0.05, "b_star": 0.05,
@@ -230,3 +235,52 @@ class TestSweepSpec:
             parse_sweep("n=0:1e308:1e-308").grid()
         with pytest.raises(DomainError, match="exceeds the limit"):
             parse_sweep("n=1:1000002:1").grid()
+
+
+positive = st.floats(min_value=1e-6, max_value=1e6)
+valid_params = st.builds(
+    ScenarioParams, a=positive, a_star=positive, b=positive, b_star=positive,
+    lam=positive, n=positive, B0=positive, B0_star=positive, p0=positive,
+    t0=st.floats(min_value=-1e6, max_value=1e6),
+)
+# Any float (nan and +-inf included), small integers, and the edges a sweep grid hits.
+swept_values = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+class TestWithParam:
+    @given(valid_params, swept_values)
+    def test_same_result_or_error_as_full_construction(self, params, value):
+        before = vars(params).copy()
+        for name in SWEEPABLE:
+            fields = {**vars(params), PARAM_KEYS[name]: value}
+            try:
+                expected = ScenarioParams(**fields)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    with_param(params, name, value)
+                assert str(got.value) == str(exc)
+                continue
+            result = with_param(params, name, value)
+            assert result == expected
+            with pytest.raises(FrozenInstanceError):
+                result.n = 1.0
+        assert vars(params) == before
+
+    def test_unknown_name_rejected(self):
+        params = parse_scenario(doc()).params
+        for name in ("B1", "lam", ""):
+            with pytest.raises(DomainError, match="unknown parameter name"):
+                with_param(params, name, 1.0)
+
+    def test_closed_form_params_checks_the_rate(self):
+        scenario = parse_scenario(doc(income_model={"type": "exponential", "rate": -0.1}))
+        with pytest.raises(DomainError, match="lam must be > 0, got -0.1"):
+            scenario.closed_form_params()
+        scenario = parse_scenario(doc(income_model={"type": "exponential", "rate": 0.03}))
+        assert scenario.closed_form_params() == ScenarioParams(
+            **{**vars(scenario.params), "lam": 0.03}
+        )
