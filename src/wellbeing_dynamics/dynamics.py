@@ -7,13 +7,15 @@ The coupled system
 
 is integrated for arbitrary positive income paths, providing a route to
 the solution that shares no code with the closed forms in `core` and is
-used to cross-validate them.
+used to cross-validate them. The right-hand side is linear in the state,
+dB/dt = c_B(t) * B and dB*/dt = c_S(t) * B*, so fixed-step RK4 computes
+the income-dependent coefficients once per distinct stage time.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Union
 
@@ -43,7 +45,7 @@ class ExponentialIncome:
         return self.p0 * math.exp(self.rate * (t - self.t0))
 
     def derivative(self, t: float) -> float:
-        return self.rate * self.value(t)
+        return self.rate * (self.p0 * math.exp(self.rate * (t - self.t0)))
 
     def scaled(self, n: float) -> ExponentialIncome:
         """The path n * p(t)."""
@@ -82,8 +84,11 @@ class TabulatedIncome:
 
     points must have strictly increasing times and positive values.
     Node derivatives are centered finite differences (one-sided at the
-    ends), interpolated linearly between nodes. Queries outside the
-    sampled range are refused rather than extrapolated.
+    ends), interpolated linearly between nodes. value and derivative
+    share one lookup: a range check and one bisect find either the node
+    at t, whose stored value or slope is returned exactly, or the
+    segment holding t with its weight. Queries outside the sampled range
+    are refused rather than extrapolated.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -101,30 +106,31 @@ class TabulatedIncome:
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_slopes", slopes)
 
-    def _segment(self, t: float) -> int:
+    def _locate(self, t: float) -> tuple[int, float | None]:
+        """(i, None) when t is node i, else (i, w) with t in segment i at weight w."""
         times = self._times
-        if t < times[0] or t > times[-1]:
+        if not times[0] <= t <= times[-1]:
             raise DomainError(
                 f"t = {t} outside the tabulated range [{times[0]}, {times[-1]}]"
             )
-        return min(bisect_right(times, t) - 1, len(times) - 2)
+        i = bisect_left(times, t)
+        if times[i] == t:
+            return i, None
+        # times[i - 1] < t < times[i]; i >= 1 because t > times[0].
+        return i - 1, (t - times[i - 1]) / (times[i] - times[i - 1])
 
     def value(self, t: float) -> float:
-        times, values = self._times, self._values
-        i = bisect_left(times, t)
-        if i < len(times) and times[i] == t:
+        i, w = self._locate(t)
+        values = self._values
+        if w is None:
             return values[i]
-        i = self._segment(t)
-        w = (t - times[i]) / (times[i + 1] - times[i])
         return values[i] * (values[i + 1] / values[i]) ** w
 
     def derivative(self, t: float) -> float:
-        times, slopes = self._times, self._slopes
-        i = bisect_left(times, t)
-        if i < len(times) and times[i] == t:
+        i, w = self._locate(t)
+        slopes = self._slopes
+        if w is None:
             return slopes[i]
-        i = self._segment(t)
-        w = (t - times[i]) / (times[i + 1] - times[i])
         return slopes[i] + (slopes[i + 1] - slopes[i]) * w
 
     def scaled(self, n: float) -> TabulatedIncome:
@@ -243,16 +249,21 @@ def integrate(
             raise failure(f"non-positive income sample at t = {t}")
         return pv, qv
 
-    def rhs(t: float, B: float, S: float) -> tuple[float, float]:
+    def coefficients(t: float) -> tuple[float, float, float, float]:
+        # (c_B, c_S, p, q) at t; the right-hand side is (c_B * B, c_S * S).
         pv, qv = incomes(t)
-        dB = (a * p.derivative(t) / pv - b * qv / pv) * B
-        dS = (a_s * q.derivative(t) / qv - b_s * pv / qv) * S
-        return dB, dS
+        return (a * p.derivative(t) / pv - b * qv / pv,
+                a_s * q.derivative(t) / qv - b_s * pv / qv, pv, qv)
 
-    def record(t: float, B: float, S: float) -> None:
+    def rhs(t: float, B: float, S: float) -> tuple[float, float]:
+        c_B, c_S, _, _ = coefficients(t)
+        return c_B * B, c_S * S
+
+    def record(t: float, B: float, S: float, sample=None) -> None:
+        # sample: (c_B, c_S, p, q) already evaluated at t, or None to sample p and q.
         if B <= 0.0 or S <= 0.0 or not (math.isfinite(B) and math.isfinite(S)):
             raise failure(f"state left the positive domain at t = {t}")
-        pv, qv = incomes(t)
+        pv, qv = incomes(t) if sample is None else sample[2:]
         times.append(t)
         cols_B.append(B)
         cols_S.append(S)
@@ -261,7 +272,7 @@ def integrate(
 
     record(params.t0, params.B0, params.B0_star)
     if method == "rk4":
-        _run_rk4(rhs, params, t_end, step, record)
+        _run_rk4(coefficients, params, t_end, step, record)
     else:
         _run_rkf45(rhs, params, t_end, step, tol, record)
 
@@ -277,20 +288,27 @@ def integrate(
     )
 
 
-def _run_rk4(rhs, params: ScenarioParams, t_end, step, record) -> None:
+def _run_rk4(coefficients, params: ScenarioParams, t_end, step, record) -> None:
+    # k2 and k3 share the midpoint coefficients; those at t + h serve k4, the
+    # record and the next k1 when t + h is exactly the next grid time.
     grid = time_grid(params.t0, t_end, step)
     t = grid[0]
     B, S = params.B0, params.B0_star
+    start = None
     for t_next in grid[1:]:
         h = t_next - t
-        k1B, k1S = rhs(t, B, S)
-        k2B, k2S = rhs(t + 0.5 * h, B + 0.5 * h * k1B, S + 0.5 * h * k1S)
-        k3B, k3S = rhs(t + 0.5 * h, B + 0.5 * h * k2B, S + 0.5 * h * k2S)
-        k4B, k4S = rhs(t + h, B + h * k3B, S + h * k3S)
+        c1B, c1S, _, _ = start or coefficients(t)
+        c2B, c2S, _, _ = coefficients(t + 0.5 * h)
+        end = coefficients(t + h)
+        k1B, k1S = c1B * B, c1S * S
+        k2B, k2S = c2B * (B + 0.5 * h * k1B), c2S * (S + 0.5 * h * k1S)
+        k3B, k3S = c2B * (B + 0.5 * h * k2B), c2S * (S + 0.5 * h * k2S)
+        k4B, k4S = end[0] * (B + h * k3B), end[1] * (S + h * k3S)
         B += h / 6.0 * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
         S += h / 6.0 * (k1S + 2.0 * k2S + 2.0 * k3S + k4S)
+        start = end if t + h == t_next else None
         t = t_next
-        record(t, B, S)
+        record(t, B, S, start)
 
 
 # Fehlberg 4(5) tableau: nodes, stage weights, and the paired solution

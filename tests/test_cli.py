@@ -8,6 +8,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from wellbeing_dynamics.cli import _fmt
 
 BASE = {
     "a": 1.0, "a_star": 1.0, "b": 0.05, "b_star": 0.05,
@@ -214,6 +218,21 @@ class TestSimulate:
                     "--mode", "ode", "--out", str(tmp_path / "x.csv"))
         assert r.returncode in (1, 2)
         assert r.stderr.startswith("error:")
+
+
+class TestRowTemplate:
+    """simulate formats a row with one "%.12g" template per column."""
+
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(-0.0)
+    @example(5e-324)
+    def test_percent_format_equals_format_spec(self, x):
+        assert "%.12g" % x == format(x, ".12g") == _fmt(x)
+
+    @given(st.lists(st.floats(), min_size=1, max_size=7))
+    def test_row_template_equals_joined_fields(self, row):
+        template = ",".join(["%.12g"] * len(row))
+        assert template % tuple(row) == ",".join(map(_fmt, row))
 
 
 class TestSweep:

@@ -5,10 +5,14 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import replace
 
 import mpmath as mp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wellbeing_dynamics import (
     DomainError,
@@ -25,6 +29,7 @@ from wellbeing_dynamics import (
     integrate,
     time_grid,
 )
+from wellbeing_dynamics import dynamics
 from wellbeing_dynamics.dynamics import MAX_GRID_STEPS, _run_rk4, _run_rkf45, uniform_grid
 from wellbeing_dynamics.numerics import adaptive_simpson
 from conftest import draw_params, uniform
@@ -41,6 +46,14 @@ class TestExponentialIncome:
         assert m.value(1.0) == 2.0
         assert math.isclose(m.value(3.0), 2.0 * math.exp(0.2), rel_tol=1e-15)
         assert m.derivative(3.0) == 0.1 * m.value(3.0)
+
+    def test_derivative_is_rate_times_value_bit_for_bit(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            m = ExponentialIncome(rng.uniform(0.1, 1e4), rng.uniform(-0.5, 0.5),
+                                  rng.uniform(-50.0, 50.0))
+            t = rng.uniform(-100.0, 200.0)
+            assert m.derivative(t).hex() == (m.rate * m.value(t)).hex()
 
     def test_negative_rate_allowed(self):
         m = ExponentialIncome(p0=1.0, rate=-0.5)
@@ -116,6 +129,68 @@ class TestTabulatedIncome:
         for t in (0.25, 3.7, 9.99):
             assert math.isclose(m.value(t), p0 * math.exp(rate * t),
                                 rel_tol=1e-12)
+
+
+def reference_tabulated(points, t, derivative=False):
+    """TabulatedIncome.value/derivative as three lookups per call (bisect_left,
+    range check, bisect_right): the oracle for the single shared lookup."""
+    times = [pt[0] for pt in points]
+    values = [pt[1] for pt in points]
+    slopes = [(values[1] - values[0]) / (times[1] - times[0])]
+    for i in range(1, len(points) - 1):
+        slopes.append((values[i + 1] - values[i - 1]) / (times[i + 1] - times[i - 1]))
+    slopes.append((values[-1] - values[-2]) / (times[-1] - times[-2]))
+    column = slopes if derivative else values
+    i = bisect_left(times, t)
+    if i < len(times) and times[i] == t:
+        return column[i]
+    if t < times[0] or t > times[-1]:
+        raise DomainError(f"t = {t} outside the tabulated range [{times[0]}, {times[-1]}]")
+    i = min(bisect_right(times, t) - 1, len(times) - 2)
+    w = (t - times[i]) / (times[i + 1] - times[i])
+    if derivative:
+        return slopes[i] + (slopes[i + 1] - slopes[i]) * w
+    return values[i] * (values[i + 1] / values[i]) ** w
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    times = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    return tuple(zip(sorted(times), values))
+
+
+class TestTabulatedLookup:
+    @given(st.data())
+    def test_matches_three_lookup_reference_bit_for_bit(self, data):
+        points = data.draw(tables())
+        m = TabulatedIncome(points)
+        lo, hi = points[0][0], points[-1][0]
+        t = data.draw(st.one_of(st.sampled_from([pt[0] for pt in points]),
+                                st.floats(min_value=lo, max_value=hi)))
+        assert m.value(t).hex() == reference_tabulated(points, t).hex()
+        assert m.derivative(t).hex() == reference_tabulated(points, t, True).hex()
+
+    @given(tables())
+    def test_nodes_return_stored_value_and_slope(self, points):
+        m = TabulatedIncome(points)
+        for t, v in points:
+            assert m.value(t) == v
+            assert m.derivative(t).hex() == reference_tabulated(points, t, True).hex()
+
+    @given(tables())
+    def test_just_outside_either_end_raises_same_text(self, points):
+        m = TabulatedIncome(points)
+        lo, hi = points[0][0], points[-1][0]
+        for t in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            for method in (m.value, m.derivative):
+                with pytest.raises(DomainError) as exc_info:
+                    method(t)
+                assert str(exc_info.value) == f"t = {t} outside the tabulated range [{lo}, {hi}]"
+        # nan compares false both ways and is refused like any t not in range.
+        with pytest.raises(DomainError, match="t = nan outside"):
+            m.value(math.nan)
 
 
 class TestTimeGrid:
@@ -208,8 +283,10 @@ class TestIntegrate:
 
     def test_zero_rhs_leaves_state_untouched(self):
         seen = []
-        _run_rk4(lambda t, B, S: (0.0, 0.0), HIGH, 5.0, 0.5,
-                 lambda t, B, S: seen.append((t, B, S)))
+        # _run_rk4 takes coefficients(t) -> (c_B, c_S, p, q) and
+        # record(t, B, S, sample); zero coefficients make a zero RHS.
+        _run_rk4(lambda t: (0.0, 0.0, 1.0, 1.0), HIGH, 5.0, 0.5,
+                 lambda t, B, S, sample=None: seen.append((t, B, S)))
         assert len(seen) == 10
         assert all(B == HIGH.B0 and S == HIGH.B0_star for _, B, S in seen)
 
@@ -272,6 +349,116 @@ class TestIntegrate:
             assert math.isclose(x, y, rel_tol=1e-9)
         for x, y in zip(tr0.B_star, tr1.B_star):
             assert math.isclose(x, y, rel_tol=1e-9)
+
+
+def reference_rk4(p, q, params, grid):
+    """Four right-hand-side evaluations per step plus an income sample per
+    record: the RK4 loop that stage sharing replaced, kept as the oracle."""
+    a, b, a_s, b_s = params.a, params.b, params.a_star, params.b_star
+    cols = ([], [], [], [], [])
+
+    def rhs(t, B, S):
+        pv, qv = p.value(t), q.value(t)
+        dB = (a * p.derivative(t) / pv - b * qv / pv) * B
+        dS = (a_s * q.derivative(t) / qv - b_s * pv / qv) * S
+        return dB, dS
+
+    def record(t, B, S):
+        for col, x in zip(cols, (t, B, S, p.value(t), q.value(t))):
+            col.append(x)
+
+    t = grid[0]
+    B, S = params.B0, params.B0_star
+    record(t, B, S)
+    for t_next in grid[1:]:
+        h = t_next - t
+        k1B, k1S = rhs(t, B, S)
+        k2B, k2S = rhs(t + 0.5 * h, B + 0.5 * h * k1B, S + 0.5 * h * k1S)
+        k3B, k3S = rhs(t + 0.5 * h, B + 0.5 * h * k2B, S + 0.5 * h * k2S)
+        k4B, k4S = rhs(t + h, B + h * k3B, S + h * k3S)
+        B += h / 6.0 * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
+        S += h / 6.0 * (k1S + 2.0 * k2S + 2.0 * k3S + k4S)
+        t = t_next
+        record(t, B, S)
+    return tuple(tuple(col) for col in cols)
+
+
+def count_income_calls(monkeypatch) -> Counter:
+    """Count value/derivative calls on every income class from now on."""
+    counts = Counter()
+    for cls in (ExponentialIncome, LinearIncome, TabulatedIncome):
+        for name in ("value", "derivative"):
+            def counting(self, t, fn=getattr(cls, name), name=name):
+                counts[name] += 1
+                return fn(self, t)
+            monkeypatch.setattr(cls, name, counting)
+    return counts
+
+
+class TestRK4StageSharing:
+    """integrate's RK4 evaluates each distinct stage time once and gives the
+    same floats as the four-evaluation loop."""
+
+    def assert_matches_reference(self, p, q, params, t_end, step):
+        tr = integrate(p, q, params, t_end, method="rk4", step=step)
+        want = reference_rk4(p, q, params, dynamics.time_grid(params.t0, t_end, step))
+        assert (tr.times, tr.B, tr.B_star, tr.p, tr.q) == want
+
+    def test_exponential(self):
+        p = ExponentialIncome(HIGH.p0, HIGH.lam)
+        self.assert_matches_reference(p, p.scaled(HIGH.n), HIGH, 20.0, 0.01)
+
+    def test_linear(self):
+        params = replace(HIGH, b=0.07, a_star=0.6)
+        self.assert_matches_reference(LinearIncome(2.0, 0.3), LinearIncome(3.0, 0.1),
+                                      params, 10.0, 0.05)
+
+    def test_tabulated_with_nodes_on_grid_times(self):
+        # Nodes every 0.5 on a 0.05 grid: grid times and midpoints land on nodes.
+        rng = random.Random(5)
+        p = TabulatedIncome(tuple((0.5 * k, 2.0 * math.exp(0.05 * k + rng.uniform(0, 0.1)))
+                                  for k in range(21)))
+        assert set(p._times) & set(time_grid(0.0, 10.0, 0.05))
+        self.assert_matches_reference(p, p.scaled(1.7), HIGH, 10.0, 0.05)
+
+    def test_grid_starting_below_zero(self):
+        # The last step crosses zero, and there t + h != t_next.
+        params = replace(HIGH, t0=-1.18)
+        grid = time_grid(params.t0, 0.01, 0.1)
+        assert grid[-2] + (grid[-1] - grid[-2]) != grid[-1]
+        # A steep income anchored at 0, so that a time one ulp off changes the floats.
+        p = ExponentialIncome(params.p0, 20.0)
+        self.assert_matches_reference(p, p.scaled(params.n), params, 0.01, 0.1)
+
+    def test_inexact_step_inside_the_grid(self, monkeypatch):
+        # t + h != t_next on the first step, so the next step's k1 is
+        # evaluated afresh rather than reused.
+        grid = [-0.1, 0.3, 0.7, 1.1]
+        assert grid[0] + (grid[1] - grid[0]) != grid[1]
+        monkeypatch.setattr(dynamics, "time_grid", lambda t0, t_end, step: list(grid))
+        params = replace(HIGH, t0=-0.1)
+        p = ExponentialIncome(params.p0, 20.0)
+        self.assert_matches_reference(p, p.scaled(params.n), params, 1.1, 0.4)
+
+    def test_at_most_eight_income_calls_per_step(self, monkeypatch):
+        p = ExponentialIncome(HIGH.p0, HIGH.lam)
+        q = p.scaled(HIGH.n)
+        counts = count_income_calls(monkeypatch)
+        tr = integrate(p, q, HIGH, 5.0, method="rk4", step=0.01)
+        steps = len(tr.times) - 1
+        assert steps == 500
+        # Two stage times per step, four calls each; the four-evaluation loop made 26N + 2.
+        assert counts["value"] + counts["derivative"] <= 8 * steps + 8
+
+    def test_rkf45_calls_both_derivatives_six_times_per_attempt(self, monkeypatch):
+        # Benchmarks recover RKF45 attempts as derivative calls / 12.
+        p = ExponentialIncome(HIGH.p0, HIGH.lam)
+        counts = count_income_calls(monkeypatch)
+        tr = integrate(p, p.scaled(HIGH.n), HIGH, 50.0, method="rkf45", step=0.5)
+        samples = len(tr.times)
+        assert counts["derivative"] % 12 == 0
+        assert counts["derivative"] >= 12 * (samples - 1)
+        assert counts["value"] == counts["derivative"] + 2 * samples
 
 
 class TestAdaptiveIntegrate:
