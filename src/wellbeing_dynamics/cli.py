@@ -15,11 +15,10 @@ import sys
 from pathlib import Path
 
 from .calibration import fit_growth_rate, read_income_series, scenario_from_data
-# Unused here; kept so cli.ratio_analysis resolves for the wrappers in bench/layers.py.
 from .core import closed_form_B, closed_form_B_star, exponent_g, exponent_g_star, ratio_analysis
 from .dynamics import integrate, max_relative_deviation, time_grid
 from .errors import DomainError, IntegrationError, QuadratureError, checked
-from .regime import classify
+from .regime import classify, regime_labels
 from .scenario import PARAM_KEYS, load_scenario, parse_sweep, with_param
 
 
@@ -105,6 +104,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     spec = parse_sweep(args.vary)
     rows = ["value,exponent_g,exponent_g_star,f_value,band,behavior_g,behavior_g_star,growth_case"]
     skipped: list[tuple[float, str]] = []
+    # Labels as classify computes them, without building its RegimeReport.
+    # "%.12g" % x is _fmt(x); _value_ is the plain string behind .value.
+    row = "%.12g,%.12g,%.12g,%.12g,%s,%s,%s,%s"
     for value in spec.grid():
         try:
             params = with_param(scenario.params, spec.name, value)
@@ -112,12 +114,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"warning: skipped {spec.name}={_fmt(value)}: {exc}", file=sys.stderr)
             skipped.append((value, str(exc)))
             continue
-        report = classify(params, epsilon=epsilon)
-        rows.append(
-            f"{_fmt(value)},{_fmt(exponent_g(params))},{_fmt(exponent_g_star(params))},"
-            f"{_fmt(report.f_value)},{report.band.value},{report.behavior_g.value},"
-            f"{report.behavior_g_star.value},{report.growth_case.value}"
-        )
+        case, _, _, band, behavior_g, behavior_g_star = regime_labels(params, epsilon)
+        rows.append(row % (
+            value, exponent_g(params), exponent_g_star(params),
+            ratio_analysis(params).f_value,
+            band._value_, behavior_g._value_, behavior_g_star._value_, case._value_,
+        ))
     for value, reason in skipped:
         rows.append(f"# skipped {spec.name}={_fmt(value)}: {reason}")
     _write_table(args.out, rows)

@@ -4,6 +4,9 @@ The sign pattern of the two closed-form exponents splits the n axis at
 boundary_g = a*lam/b (where G's exponent vanishes) and boundary_g_star
 = b_star/(a_star*lam) (where G*'s does). Which boundary comes first is
 decided by the growth case: lam**2 below or above b*b_star/(a*a_star).
+
+classify and `wbdyn sweep` share one label routine, regime_labels, so a
+sweep row's growth case, band and behaviors are exactly classify's.
 """
 
 from __future__ import annotations
@@ -99,22 +102,61 @@ class BracketCheck:
     passed: bool
 
 
-def growth_case(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> GrowthCase:
-    """Compare lam**2 against b*b_star/(a*a_star) with relative tolerance."""
-    epsilon = checked(epsilon, "epsilon", above=0.0, below=1.0)
+def _checked_epsilon(epsilon) -> float:
+    return checked(epsilon, "epsilon", above=0.0, below=1.0)
+
+
+def _underflow(label: str, x: float, y: float) -> DomainError:
+    return DomainError(f"{label} = {x!r} * {y!r} underflows to 0; cannot classify")
+
+
+def _growth_case(params: ScenarioParams, epsilon: float) -> GrowthCase:
     lhs = params.lam**2
-    rhs = (params.b * params.b_star) / (params.a * params.a_star)
+    try:
+        rhs = (params.b * params.b_star) / (params.a * params.a_star)
+    except ZeroDivisionError:
+        raise _underflow("a * a_star", params.a, params.a_star) from None
     if math.isclose(lhs, rhs, rel_tol=epsilon):
         return GrowthCase.CRITICAL
     return GrowthCase.LOW if lhs < rhs else GrowthCase.HIGH
 
 
+def growth_case(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> GrowthCase:
+    """Compare lam**2 against b*b_star/(a*a_star) with relative tolerance."""
+    return _growth_case(params, _checked_epsilon(epsilon))
+
+
+def regime_labels(
+    params: ScenarioParams, epsilon: float
+) -> tuple[GrowthCase, float, float, Band, Behavior, Behavior]:
+    """Growth case, boundary_g, boundary_g_star, band, behavior_g and
+    behavior_g_star of params, for an epsilon the caller has checked.
+
+    classify and the sweep rows both take their labels from here.
+
+    Raises:
+        DomainError: a*a_star or a_star*lam underflows to 0.
+    """
+    boundary_g = params.a * params.lam / params.b
+    try:
+        boundary_g_star = params.b_star / (params.a_star * params.lam)
+    except ZeroDivisionError:
+        raise _underflow("a_star * lam", params.a_star, params.lam) from None
+    return (
+        _growth_case(params, epsilon),
+        boundary_g,
+        boundary_g_star,
+        _band(params.n, boundary_g, boundary_g_star, epsilon),
+        _behavior(params.a * params.lam, params.b * params.n, epsilon),
+        _behavior(params.a_star * params.lam, params.b_star / params.n, epsilon),
+    )
+
+
 def _regime(params: ScenarioParams, epsilon) -> tuple[float, GrowthCase, float, float]:
     """Checked epsilon, growth case, boundary_g and boundary_g_star."""
-    epsilon = checked(epsilon, "epsilon", above=0.0, below=1.0)
-    boundary_g = params.a * params.lam / params.b
-    boundary_g_star = params.b_star / (params.a_star * params.lam)
-    return epsilon, growth_case(params, epsilon), boundary_g, boundary_g_star
+    epsilon = _checked_epsilon(epsilon)
+    case, boundary_g, boundary_g_star = regime_labels(params, epsilon)[:3]
+    return epsilon, case, boundary_g, boundary_g_star
 
 
 def _behavior(growth_term: float, loss_term: float, epsilon: float) -> Behavior:
@@ -129,7 +171,10 @@ def _band(n: float, boundary_g: float, boundary_g_star: float, epsilon: float) -
         n, boundary_g_star, rel_tol=epsilon
     ):
         return Band.BOUNDARY
-    lo, hi = sorted((boundary_g, boundary_g_star))
+    if boundary_g_star < boundary_g:
+        lo, hi = boundary_g_star, boundary_g
+    else:
+        lo, hi = boundary_g, boundary_g_star
     if n < lo:
         return Band.LOW
     if n > hi:
@@ -145,14 +190,11 @@ def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Regime
     reported as Boundary. Dominance compares n against n_hat under the
     equal-start convention.
     """
-    epsilon, case, boundary_g, boundary_g_star = _regime(params, epsilon)
-    analysis = ratio_analysis(params)
-
-    behavior_g = _behavior(params.a * params.lam, params.b * params.n, epsilon)
-    behavior_g_star = _behavior(
-        params.a_star * params.lam, params.b_star / params.n, epsilon
+    epsilon = _checked_epsilon(epsilon)
+    case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star = regime_labels(
+        params, epsilon
     )
-    band = _band(params.n, boundary_g, boundary_g_star, epsilon)
+    analysis = ratio_analysis(params)
     interval_j = (boundary_g_star, boundary_g) if case is GrowthCase.HIGH else None
 
     if math.isclose(params.n, analysis.n_hat, rel_tol=epsilon):
@@ -164,7 +206,12 @@ def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Regime
 
     crossover_time = None
     if params.B0 != params.B0_star and analysis.g_rate != 0.0:
-        crossover_time = math.log(params.B0 / params.B0_star) / (-analysis.g_rate)
+        level_ratio = params.B0 / params.B0_star
+        if 0.0 < level_ratio < math.inf:
+            log_ratio = math.log(level_ratio)
+        else:  # the quotient under- or overflows; the logarithms do not
+            log_ratio = math.log(params.B0) - math.log(params.B0_star)
+        crossover_time = log_ratio / (-analysis.g_rate)
 
     return RegimeReport(
         growth_case=case,

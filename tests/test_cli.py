@@ -6,12 +6,17 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wellbeing_dynamics import ScenarioParams, cli, core, regime
 from wellbeing_dynamics.cli import _fmt
+from wellbeing_dynamics.errors import DomainError
+from wellbeing_dynamics.scenario import PARAM_KEYS, SWEEPABLE, parse_sweep, with_param
 
 BASE = {
     "a": 1.0, "a_star": 1.0, "b": 0.05, "b_star": 0.05,
@@ -318,6 +323,150 @@ class TestSweep:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 100
         assert len(calls) == len(rows)
+
+    def test_no_classify_per_row(self, scenario, tmp_path, monkeypatch):
+        # Rows take their labels from regime_labels; no RegimeReport is built.
+        calls = []
+        classify = regime.classify
+
+        def counting(params, epsilon=regime.DEFAULT_EPSILON):
+            calls.append(params)
+            return classify(params, epsilon)
+
+        monkeypatch.setattr(regime, "classify", counting)
+        monkeypatch.setattr(cli, "classify", counting)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--scenario", scenario, "--vary", "n=0.1:10:0.1",
+                         "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()[1:]) == 100
+        assert calls == []
+
+
+def _oracle_labels(p, eps):
+    """Growth case, band and behaviors as classify computed them when each
+    sweep row built a full RegimeReport (a frozen reference copy)."""
+    boundary_g = p.a * p.lam / p.b
+    boundary_g_star = p.b_star / (p.a_star * p.lam)
+    lhs, rhs = p.lam**2, (p.b * p.b_star) / (p.a * p.a_star)
+    if math.isclose(lhs, rhs, rel_tol=eps):
+        case = "Critical"
+    else:
+        case = "LowGrowth" if lhs < rhs else "HighGrowth"
+
+    def behavior(growth_term, loss_term):
+        if math.isclose(growth_term, loss_term, rel_tol=eps):
+            return "ConstantPositive"
+        return "DivergesToInfinity" if growth_term > loss_term else "DecaysToZero"
+
+    if math.isclose(p.n, boundary_g, rel_tol=eps) or math.isclose(
+        p.n, boundary_g_star, rel_tol=eps
+    ):
+        band = "Boundary"
+    else:
+        lo, hi = sorted((boundary_g, boundary_g_star))
+        band = "Low" if p.n < lo else "High" if p.n > hi else "Medium"
+    g = behavior(p.a * p.lam, p.b * p.n)
+    g_star = behavior(p.a_star * p.lam, p.b_star / p.n)
+    return case, band, g, g_star
+
+
+def _oracle_table(params, vary, eps):
+    """The sweep table of the per-row classify loop and its f-string rows."""
+    spec = parse_sweep(vary)
+    rows = ["value,exponent_g,exponent_g_star,f_value,band,behavior_g,behavior_g_star,growth_case"]
+    skipped = []
+    for value in spec.grid():
+        try:
+            p = with_param(params, spec.name, value)
+        except DomainError as exc:
+            skipped.append((value, str(exc)))
+            continue
+        case, band, g, g_star = _oracle_labels(p, eps)
+        f_value = core.ratio_analysis(p).f_value
+        rows.append(
+            f"{_fmt(value)},{_fmt(core.exponent_g(p))},{_fmt(core.exponent_g_star(p))},"
+            f"{_fmt(f_value)},{band},{g},{g_star},{case}"
+        )
+    for value, reason in skipped:
+        rows.append(f"# skipped {spec.name}={_fmt(value)}: {reason}")
+    return "\n".join(rows) + "\n"
+
+
+def _breakpoints(name, p):
+    """Values of the swept parameter where n meets boundary_g or
+    boundary_g_star, lam**2 meets b*b_star/(a*a_star), or n meets n_hat."""
+    a, a_s, b, b_s, lam, n = p.a, p.a_star, p.b, p.b_star, p.lam, p.n
+    return {
+        "n": [a * lam / b, b_s / (a_s * lam), core.ratio_analysis(p).n_hat],
+        "lambda": [b * n / a, b_s / (a_s * n), math.sqrt(b * b_s / (a * a_s))],
+        "a": [b * n / lam, b * b_s / (lam**2 * a_s)],
+        "a_star": [b_s / (n * lam), b * b_s / (lam**2 * a)],
+        "b": [a * lam / n, lam**2 * a * a_s / b_s],
+        "b_star": [n * a_s * lam, lam**2 * a * a_s / b],
+    }[name]
+
+
+coefficient = st.floats(min_value=1e-2, max_value=10.0)
+sweep_params = st.builds(
+    ScenarioParams, a=coefficient, a_star=coefficient, b=coefficient,
+    b_star=coefficient, lam=coefficient, n=coefficient,
+    B0=st.just(1.0), B0_star=st.just(2.0), p0=st.just(1.0), t0=st.just(0.0),
+)
+tolerance = st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 9.9), st.integers(-12, -2))
+
+
+class TestSweepRowsMatchClassify:
+    @pytest.mark.parametrize("name", SWEEPABLE)
+    @given(params=sweep_params, eps=tolerance, which=st.integers(0, 2),
+           width=st.floats(0.5, 4.0), jitter=st.floats(-1.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_per_row_oracle(self, name, params, eps, which, width, jitter):
+        # A grid of 13 points a few tolerances wide, centred near one breakpoint.
+        points = _breakpoints(name, params)
+        centre = points[which % len(points)] * (1.0 + jitter * eps)
+        half = width * eps * centre
+        vary = f"{name}={centre - half!r}:{centre + half!r}:{half / 6.0!r}"
+        doc = {key: getattr(params, field) for key, field in PARAM_KEYS.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp, "s.json"), Path(tmp, "out.csv")
+            path.write_text(json.dumps(doc))
+            assert cli.main(["sweep", "--scenario", str(path), "--vary", vary,
+                             "--tolerance", repr(eps), "--out", str(out)]) == 0
+            assert out.read_text() == _oracle_table(params, vary, eps)
+
+
+class TestExtremeInputs:
+    """Valid inputs whose intermediate quotients leave the float range."""
+
+    def test_level_ratio_underflow_classifies(self, tmp_path):
+        sc = write_scenario(tmp_path / "s.json", B0=1e-200, B0_star=1e200)
+        r = run_cli("classify", "--scenario", sc)
+        assert r.returncode == 0
+        assert "Traceback" not in r.stderr
+        rep = parse_report(r.stdout)
+        g_rate = float(rep["g_rate"])
+        want = (math.log(1e-200) - math.log(1e200)) / -g_rate
+        assert float(rep["crossover_time"]) == pytest.approx(want, rel=1e-9)
+        r = run_cli("sweep", "--scenario", sc, "--vary", "n=1:2:0.5",
+                    "--out", str(tmp_path / "x.csv"))
+        assert r.returncode == 0
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("fields,product", [
+        ({"a": 1e-200, "a_star": 1e-200}, "a * a_star"),
+        ({"a_star": 1e-200, "lambda": 1e-200}, "a_star * lam"),
+    ])
+    def test_underflowed_product_exits_2(self, tmp_path, fields, product):
+        sc = write_scenario(tmp_path / "s.json", **fields)
+        out = tmp_path / "x.csv"
+        for args in (("classify", "--scenario", sc),
+                     ("sweep", "--scenario", sc, "--vary", "n=1:2:0.5", "--out", str(out))):
+            r = run_cli(*args)
+            assert r.returncode == 2
+            assert "Traceback" not in r.stderr
+            assert r.stderr.startswith(f"error: {product} = ")
+            assert "underflows to 0" in r.stderr
+        assert not out.exists()
 
 
 class TestCalibrate:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellbeing_dynamics import (
     Band,
@@ -25,6 +28,8 @@ from wellbeing_dynamics import (
     verify_nhat_bracketing,
     wellbeing_ratio,
 )
+from wellbeing_dynamics import errors, regime
+from wellbeing_dynamics.regime import regime_labels
 from conftest import draw_case_params, draw_params, uniform
 
 LOW = ScenarioParams(a=1.0, a_star=1.0, b=0.2, b_star=0.2, lam=0.1,
@@ -347,3 +352,90 @@ class TestDominanceRatioConsistency:
                 else:
                     assert ratio < 1.0
         assert checked > 250
+
+
+coefficient = st.floats(min_value=1e-3, max_value=1e3)
+# Relative tolerances from 1e-12 to about 0.1, spread over the decades.
+tolerance = st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 9.9), st.integers(-12, -2))
+
+
+@st.composite
+def labelled_params(draw):
+    """A valid scenario whose n sits anywhere, or within a few tolerances
+    of a boundary or of n_hat, where the tolerance comparisons flip."""
+    p = draw(st.builds(ScenarioParams, a=coefficient, a_star=coefficient,
+                       b=coefficient, b_star=coefficient, lam=coefficient,
+                       n=coefficient, B0=coefficient, B0_star=coefficient,
+                       p0=coefficient, t0=st.floats(-100.0, 100.0)))
+    epsilon = draw(tolerance)
+    anchor = draw(st.sampled_from(["free", "boundary_g", "boundary_g_star", "n_hat"]))
+    if anchor != "free":
+        centre = {"boundary_g": p.a * p.lam / p.b,
+                  "boundary_g_star": p.b_star / (p.a_star * p.lam),
+                  "n_hat": ratio_analysis(p).n_hat}[anchor]
+        p = replace(p, n=centre * (1.0 + draw(st.floats(-3.0, 3.0)) * epsilon))
+    return p, epsilon
+
+
+class TestRegimeLabels:
+    @given(labelled_params())
+    @settings(max_examples=300)
+    def test_labels_are_classify_fields(self, drawn):
+        p, epsilon = drawn
+        r = classify(p, epsilon)
+        assert regime_labels(p, epsilon) == (
+            r.growth_case, r.boundary_g, r.boundary_g_star,
+            r.band, r.behavior_g, r.behavior_g_star,
+        )
+
+    def test_crossover_time_when_level_ratio_underflows(self):
+        g = ratio_analysis(HIGH).g_rate
+        for B0, B0_star in ((1e-200, 1e200), (1e200, 1e-200)):
+            r = classify(replace(HIGH, B0=B0, B0_star=B0_star))
+            want = (math.log(B0) - math.log(B0_star)) / -g
+            assert r.crossover_time == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("fields,product", [
+        ({"a": 1e-200, "a_star": 1e-200}, "a * a_star"),
+        ({"a_star": 1e-200, "lam": 1e-200}, "a_star * lam"),
+    ])
+    def test_underflowed_product_named(self, fields, product):
+        p = replace(HIGH, **fields)
+        calls = [classify, double_positive_interval, low_band_feasibility,
+                 verify_nhat_bracketing]
+        if product == "a * a_star":  # growth_case forms no boundary
+            calls.append(growth_case)
+        for call in calls:
+            with pytest.raises(DomainError, match=rf"^{re.escape(product)} = .* underflows to 0"):
+                call(p)
+
+
+PUBLIC = (classify, growth_case, double_positive_interval,
+          low_band_feasibility, verify_nhat_bracketing)
+
+
+class TestEpsilonCheckedOnce:
+    @pytest.mark.parametrize("call", PUBLIC, ids=lambda f: f.__name__)
+    def test_one_check_per_call(self, call, monkeypatch):
+        # A deterministic work counter: checks of the name "epsilon".
+        names = []
+
+        def counting(value, name, *args, **kwargs):
+            names.append(name)
+            return errors.checked(value, name, *args, **kwargs)
+
+        monkeypatch.setattr(regime, "checked", counting)
+        call(HIGH, 1e-6)
+        assert names.count("epsilon") == 1
+
+    @pytest.mark.parametrize("call", PUBLIC, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("epsilon,message", [
+        (0.0, "epsilon must be > 0, got 0.0"),
+        (1.0, "epsilon must be < 1, got 1.0"),
+        (math.nan, "epsilon must be finite, got nan"),
+        (math.inf, "epsilon must be finite, got inf"),
+    ])
+    def test_rejected_with_message(self, call, epsilon, message):
+        with pytest.raises(DomainError) as exc:
+            call(HIGH, epsilon)
+        assert str(exc.value) == message
