@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, check_fields, checked
+from .errors import DomainError, check_fields, checked, squared
 from .numerics import adaptive_simpson
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -174,11 +174,12 @@ def ratio_analysis(params: ScenarioParams) -> RatioAnalysis:
     satisfies g = -f/n for n > 0, so its sign is the opposite of g's.
     Its discriminant is strictly positive, so the unique positive root
     n_hat = ((a - a_star)*lam + sqrt(discriminant)) / (2*b) always exists.
+    DomainError when n or (a - a_star)*lam overflows when squared.
     """
     gap_term = (params.a - params.a_star) * params.lam
     g_rate = gap_term - (params.b * params.n - params.b_star / params.n)
-    f_value = params.b * params.n**2 - gap_term * params.n - params.b_star
-    discriminant = gap_term**2 + 4.0 * params.b * params.b_star
+    f_value = params.b * squared(params.n, "n") - gap_term * params.n - params.b_star
+    discriminant = squared(gap_term, "(a - a_star) * lam") + 4.0 * params.b * params.b_star
     n_hat = (gap_term + math.sqrt(discriminant)) / (2.0 * params.b)
     return RatioAnalysis(
         g_rate=g_rate, f_value=f_value, discriminant=discriminant, n_hat=n_hat

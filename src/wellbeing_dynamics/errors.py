@@ -60,6 +60,14 @@ def checked(value, name: str, above=None, below=None, at_least=None) -> float:
     return out
 
 
+def squared(x: float, name: str) -> float:
+    """x**2, or a DomainError naming the quantity name and x when it overflows."""
+    try:
+        return x**2
+    except OverflowError:
+        raise DomainError(f"{name} = {x!r} overflows when squared") from None
+
+
 def check_fields(obj, bounds: dict) -> None:
     """Store each frozen-dataclass field named in bounds as checked(value, name, bound)."""
     for name, bound in bounds.items():

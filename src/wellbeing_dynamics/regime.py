@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import ScenarioParams, ratio_analysis
-from .errors import DomainError, checked
+from .errors import DomainError, checked, squared
 
 DEFAULT_EPSILON = 1e-9
 
@@ -111,7 +111,7 @@ def _underflow(label: str, x: float, y: float) -> DomainError:
 
 
 def _growth_case(params: ScenarioParams, epsilon: float) -> GrowthCase:
-    lhs = params.lam**2
+    lhs = squared(params.lam, "lam")
     try:
         rhs = (params.b * params.b_star) / (params.a * params.a_star)
     except ZeroDivisionError:
@@ -135,7 +135,8 @@ def regime_labels(
     classify and the sweep rows both take their labels from here.
 
     Raises:
-        DomainError: a*a_star or a_star*lam underflows to 0.
+        DomainError: a*a_star or a_star*lam underflows to 0, or lam**2
+            overflows.
     """
     boundary_g = params.a * params.lam / params.b
     try:

@@ -30,7 +30,7 @@ _INCOME_KEYS = {
     "linear": {"type", "slope"},
     "tabulated": {"type", "points"},
 }
-_NUMERICS_KEYS = {"step", "epsilon", "quad_tol"}
+_NUMERICS_KEYS = {"step", "epsilon"}
 
 SWEEPABLE = ("a", "a_star", "b", "b_star", "lambda", "n")
 
@@ -40,18 +40,15 @@ class NumericsOptions:
     """Numerical knobs a scenario file may override.
 
     step is simulate's integrator step and epsilon the default tolerance
-    of classify and sweep. quad_tol is validated but no command reads it.
+    of classify and sweep.
     """
 
     step: float = DEFAULT_STEP
     epsilon: float = DEFAULT_EPSILON
-    quad_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("step", "epsilon", "quad_tol"):
-            below = 1.0 if name == "epsilon" else None
-            value = getattr(self, name)
-            value = checked(value, f"numerics key '{name}'", above=0.0, below=below)
+        for name, below in (("step", None), ("epsilon", 1.0)):
+            value = checked(getattr(self, name), f"numerics key '{name}'", above=0.0, below=below)
             object.__setattr__(self, name, value)
 
 

@@ -452,20 +452,25 @@ class TestExtremeInputs:
         assert r.returncode == 0
         assert "Traceback" not in r.stderr
 
-    @pytest.mark.parametrize("fields,product", [
-        ({"a": 1e-200, "a_star": 1e-200}, "a * a_star"),
-        ({"a_star": 1e-200, "lambda": 1e-200}, "a_star * lam"),
+    @pytest.mark.parametrize("fields,product,vary,failure", [
+        ({"a": 1e-200, "a_star": 1e-200}, "a * a_star", "n=1:2:0.5", "underflows to 0"),
+        ({"a_star": 1e-200, "lambda": 1e-200}, "a_star * lam", "n=1:2:0.5", "underflows to 0"),
+        # Squares that overflow: lam**2, n**2 and ((a - a_star) * lam)**2.
+        ({"lambda": 1e200}, "lam", "b_star=0.04:0.06:0.01", "overflows when squared"),
+        ({"n": 1e200}, "n", "b_star=0.04:0.06:0.01", "overflows when squared"),
+        ({"a": 1e160}, "(a - a_star) * lam", "b_star=0.04:0.06:0.01",
+         "overflows when squared"),
     ])
-    def test_underflowed_product_exits_2(self, tmp_path, fields, product):
+    def test_underflowed_product_exits_2(self, tmp_path, fields, product, vary, failure):
         sc = write_scenario(tmp_path / "s.json", **fields)
         out = tmp_path / "x.csv"
         for args in (("classify", "--scenario", sc),
-                     ("sweep", "--scenario", sc, "--vary", "n=1:2:0.5", "--out", str(out))):
+                     ("sweep", "--scenario", sc, "--vary", vary, "--out", str(out))):
             r = run_cli(*args)
             assert r.returncode == 2
             assert "Traceback" not in r.stderr
             assert r.stderr.startswith(f"error: {product} = ")
-            assert "underflows to 0" in r.stderr
+            assert failure in r.stderr
         assert not out.exists()
 
 

@@ -283,10 +283,10 @@ class TestIntegrate:
 
     def test_zero_rhs_leaves_state_untouched(self):
         seen = []
-        # _run_rk4 takes coefficients(t) -> (c_B, c_S, p, q) and
-        # record(t, B, S, sample); zero coefficients make a zero RHS.
-        _run_rk4(lambda t: (0.0, 0.0, 1.0, 1.0), HIGH, 5.0, 0.5,
-                 lambda t, B, S, sample=None: seen.append((t, B, S)))
+        # _run_rk4 takes coefficients(t) -> (c_B, c_S, p, q), their value
+        # at t0 and record(t, B, S, sample); zero coefficients make a zero RHS.
+        _run_rk4(lambda t: (0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0), HIGH, 5.0, 0.5,
+                 lambda t, B, S, sample: seen.append((t, B, S)))
         assert len(seen) == 10
         assert all(B == HIGH.B0 and S == HIGH.B0_star for _, B, S in seen)
 
@@ -383,13 +383,56 @@ def reference_rk4(p, q, params, grid):
     return tuple(tuple(col) for col in cols)
 
 
+def reference_rkf45(p, q, params, t_end, step, tol):
+    """Six right-hand-side evaluations per attempt plus an income sample per
+    record: the RKF45 loop before it stepped on the coefficients, kept as
+    the oracle."""
+    a, b, a_s, b_s = params.a, params.b, params.a_star, params.b_star
+    cols = ([], [], [], [], [])
+
+    def rhs(t, B, S):
+        pv, qv = p.value(t), q.value(t)
+        return ((a * p.derivative(t) / pv - b * qv / pv) * B,
+                (a_s * q.derivative(t) / qv - b_s * pv / qv) * S)
+
+    def record(t, B, S):
+        for col, x in zip(cols, (t, B, S, p.value(t), q.value(t))):
+            col.append(x)
+
+    t, span = params.t0, t_end - params.t0
+    B, S = params.B0, params.B0_star
+    record(t, B, S)
+    h, tiny = min(step, span), 1e-12 * max(1.0, span)
+    while t < t_end - tiny:
+        h = min(h, t_end - t)
+        ks = []
+        for c, row in zip(dynamics._RKF_C, dynamics._RKF_A):
+            Bi = B + h * sum(aij * ks[j][0] for j, aij in enumerate(row))
+            Si = S + h * sum(aij * ks[j][1] for j, aij in enumerate(row))
+            ks.append(rhs(t + c * h, Bi, Si))
+        B5 = B + h * sum(w * k[0] for w, k in zip(dynamics._RKF_B5, ks))
+        S5 = S + h * sum(w * k[1] for w, k in zip(dynamics._RKF_B5, ks))
+        B4 = B + h * sum(w * k[0] for w, k in zip(dynamics._RKF_B4, ks))
+        S4 = S + h * sum(w * k[1] for w, k in zip(dynamics._RKF_B4, ks))
+        err = max(abs(B5 - B4) / (tol * max(abs(B), abs(B5), 1e-300)),
+                  abs(S5 - S4) / (tol * max(abs(S), abs(S5), 1e-300)))
+        if err <= 1.0:
+            t = t + h
+            B, S = B5, S5
+            record(t, B, S)
+        h *= min(5.0, max(0.2, 5.0 if err == 0.0 else 0.9 * err**-0.2))
+    return tuple(tuple(col) for col in cols)
+
+
 def count_income_calls(monkeypatch) -> Counter:
-    """Count value/derivative calls on every income class from now on."""
+    """Count value/derivative calls on every income class from now on, by
+    method name (str keys) and by evaluated time (float keys)."""
     counts = Counter()
     for cls in (ExponentialIncome, LinearIncome, TabulatedIncome):
         for name in ("value", "derivative"):
             def counting(self, t, fn=getattr(cls, name), name=name):
                 counts[name] += 1
+                counts[t] += 1
                 return fn(self, t)
             monkeypatch.setattr(cls, name, counting)
     return counts
@@ -439,6 +482,13 @@ class TestRK4StageSharing:
         params = replace(HIGH, t0=-0.1)
         p = ExponentialIncome(params.p0, 20.0)
         self.assert_matches_reference(p, p.scaled(params.n), params, 1.1, 0.4)
+        # The income at 0.3 serves both its record and the next k1: one
+        # evaluation, four calls, at every time the step evaluates.
+        counts = count_income_calls(monkeypatch)
+        integrate(p, p.scaled(params.n), params, 1.1, method="rk4", step=0.4)
+        times = {t: n for t, n in counts.items() if isinstance(t, float)}
+        assert 0.3 in times
+        assert set(times.values()) == {4}
 
     def test_at_most_eight_income_calls_per_step(self, monkeypatch):
         p = ExponentialIncome(HIGH.p0, HIGH.lam)
@@ -447,18 +497,51 @@ class TestRK4StageSharing:
         tr = integrate(p, q, HIGH, 5.0, method="rk4", step=0.01)
         steps = len(tr.times) - 1
         assert steps == 500
-        # Two stage times per step, four calls each; the four-evaluation loop made 26N + 2.
-        assert counts["value"] + counts["derivative"] <= 8 * steps + 8
+        # Four calls at t0, then two stage times per step at four calls each;
+        # the four-evaluation loop made 26N + 2.
+        assert counts["value"] + counts["derivative"] == 8 * steps + 4
 
     def test_rkf45_calls_both_derivatives_six_times_per_attempt(self, monkeypatch):
-        # Benchmarks recover RKF45 attempts as derivative calls / 12.
+        # Benchmarks recover RKF45 attempts as derivative calls inside the
+        # attempts / 12; t0 costs 2 derivative calls outside them.
         p = ExponentialIncome(HIGH.p0, HIGH.lam)
         counts = count_income_calls(monkeypatch)
         tr = integrate(p, p.scaled(HIGH.n), HIGH, 50.0, method="rkf45", step=0.5)
         samples = len(tr.times)
-        assert counts["derivative"] % 12 == 0
-        assert counts["derivative"] >= 12 * (samples - 1)
-        assert counts["value"] == counts["derivative"] + 2 * samples
+        attempts, rest = divmod(counts["derivative"] - 2, 12)
+        assert rest == 0
+        assert attempts >= samples - 1
+        assert counts["value"] == counts["derivative"]
+
+
+def income_pairs():
+    """(p, q) on exponential, linear and tabulated income."""
+    rng = random.Random(17)
+    tab = TabulatedIncome(tuple((0.37 * k, 2.0 * math.exp(0.05 * k + rng.uniform(0, 0.1)))
+                                for k in range(40)))
+    exp = ExponentialIncome(HIGH.p0, HIGH.lam)
+    return [pytest.param(exp, exp.scaled(HIGH.n), id="exponential"),
+            pytest.param(LinearIncome(2.0, 0.3), LinearIncome(3.0, 0.1), id="linear"),
+            pytest.param(tab, tab.scaled(1.7), id="tabulated")]
+
+
+class TestOneEvaluationPerTime:
+    """Every income call inside integrate comes from one evaluation of
+    (p, q, p', q') at one time, and each recorded (p, q) is that evaluation's."""
+
+    @pytest.mark.parametrize("p,q", income_pairs())
+    def test_rkf45_matches_resampling_loop(self, p, q):
+        tr = integrate(p, q, HIGH, 12.0, method="rkf45", step=0.3, tol=1e-9)
+        want = reference_rkf45(p, q, HIGH, 12.0, 0.3, 1e-9)
+        assert (tr.times, tr.B, tr.B_star, tr.p, tr.q) == want
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("p,q", income_pairs())
+    def test_value_calls_equal_derivative_calls(self, monkeypatch, method, p, q):
+        counts = count_income_calls(monkeypatch)
+        integrate(p, q, HIGH, 12.0, method=method, step=0.37)
+        assert counts["value"] > 0
+        assert counts["value"] == counts["derivative"]
 
 
 class TestAdaptiveIntegrate:
@@ -486,11 +569,11 @@ class TestAdaptiveIntegrate:
         # step to the floor and gives up with the last good state.
         calls = iter(range(10**9))
 
-        def rough(t, B, S):
-            return 1e8 * (next(calls) % 6), 0.0
+        def rough(t):
+            return 1e8 * (next(calls) % 6), 0.0, 1.0, 1.0
 
         with pytest.raises(IntegrationError, match="underflow") as exc_info:
-            _run_rkf45(rough, HIGH, 1.0, 0.01, 1e-8, lambda t, B, S: None)
+            _run_rkf45(rough, HIGH, 1.0, 0.01, 1e-8, lambda t, B, S, sample: None)
         assert exc_info.value.last_time == HIGH.t0
         assert exc_info.value.last_state == (HIGH.B0, HIGH.B0_star)
 
