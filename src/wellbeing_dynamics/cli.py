@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .calibration import fit_growth_rate, read_income_series, scenario_from_data
 from .core import closed_form_B, closed_form_B_star, exponent_g, exponent_g_star, ratio_analysis
@@ -20,10 +19,6 @@ from .dynamics import integrate, max_relative_deviation, time_grid
 from .errors import DomainError, IntegrationError, QuadratureError, checked
 from .regime import classify, regime_labels
 from .scenario import PARAM_KEYS, load_scenario, parse_sweep, with_param
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
 
 
 def _tolerance(args: argparse.Namespace, scenario) -> float:
@@ -41,26 +36,26 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if report.interval_j is None:
         interval = "none"
     else:
-        interval = f"]{_fmt(report.interval_j[0])}, {_fmt(report.interval_j[1])}["
+        interval = f"]{report.interval_j[0]:.12g}, {report.interval_j[1]:.12g}["
     lines = [
-        ("n", _fmt(params.n)),
+        ("n", f"{params.n:.12g}"),
         ("growth_case", report.growth_case.value),
-        ("boundary_g", _fmt(report.boundary_g)),
-        ("boundary_g_star", _fmt(report.boundary_g_star)),
+        ("boundary_g", f"{report.boundary_g:.12g}"),
+        ("boundary_g_star", f"{report.boundary_g_star:.12g}"),
         ("band", report.band.value),
         ("behavior_g", report.behavior_g.value),
         ("behavior_g_star", report.behavior_g_star.value),
-        ("exponent_g", _fmt(exponent_g(params))),
-        ("exponent_g_star", _fmt(exponent_g_star(params))),
-        ("g_rate", _fmt(report.g_rate)),
-        ("f_value", _fmt(report.f_value)),
-        ("n_hat", _fmt(report.n_hat)),
+        ("exponent_g", f"{exponent_g(params):.12g}"),
+        ("exponent_g_star", f"{exponent_g_star(params):.12g}"),
+        ("g_rate", f"{report.g_rate:.12g}"),
+        ("f_value", f"{report.f_value:.12g}"),
+        ("n_hat", f"{report.n_hat:.12g}"),
         ("dominance", report.dominance.value),
         ("interval_J", interval),
         ("roles_reversed", "true" if report.roles_reversed else "false"),
     ]
     if report.crossover_time is not None:
-        lines.append(("crossover_time", _fmt(report.crossover_time)))
+        lines.append(("crossover_time", f"{report.crossover_time:.12g}"))
     for key, value in lines:
         print(f"{key}: {value}")
     return 0
@@ -74,27 +69,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise DomainError(f"--t-end must be >= t0 = {params.t0}, got {t_end}")
     step = scenario.numerics.step
     p, q = scenario.income_pair()
-
-    if args.mode in ("closed", "both"):
+    if args.mode != "ode":
+        # Refuses a non-exponential income before any work.
         closed_params = scenario.closed_form_params()
-        grid = time_grid(params.t0, t_end, step)
-        B = [closed_form_B(closed_params, t) for t in grid]
-        S = [closed_form_B_star(closed_params, t) for t in grid]
+    # One grid per run: closed builds it, ode and both take the integrator's.
     if args.mode == "closed":
-        columns = [grid, B, S, [p.value(t) for t in grid], [q.value(t) for t in grid]]
+        times = time_grid(params.t0, t_end, step)
     else:
         tr = integrate(p, q, params, t_end, method="rk4", step=step)
-        if args.mode == "ode":
-            columns = [tr.times, tr.B, tr.B_star, tr.p, tr.q]
+        times = tr.times
+    if args.mode == "ode":
+        columns = [times, tr.B, tr.B_star, tr.p, tr.q]
+    else:
+        B = [closed_form_B(closed_params, t) for t in times]
+        S = [closed_form_B_star(closed_params, t) for t in times]
+        if args.mode == "closed":
+            columns = [times, B, S, [p.value(t) for t in times], [q.value(t) for t in times]]
         else:
-            columns = [grid, B, S, tr.p, tr.q, tr.B, tr.B_star]
+            columns = [times, B, S, tr.p, tr.q, tr.B, tr.B_star]
     header = "t,B,B_star,p,q" + (",B_ode,B_star_ode" if args.mode == "both" else "")
-    # "%.12g" % x is the same string as _fmt(x) for every float, in one pass per row.
     template = ",".join(["%.12g"] * len(columns))
     _write_table(args.out, [header] + [template % row for row in zip(*columns)])
     if args.mode == "both":
         deviation = max_relative_deviation(tr.B, B, tr.B_star, S)
-        print(f"max_relative_deviation: {_fmt(deviation)}")
+        print(f"max_relative_deviation: {deviation:.12g}")
     return 0
 
 
@@ -105,13 +103,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = ["value,exponent_g,exponent_g_star,f_value,band,behavior_g,behavior_g_star,growth_case"]
     skipped: list[tuple[float, str]] = []
     # Labels as classify computes them, without building its RegimeReport.
-    # "%.12g" % x is _fmt(x); _value_ is the plain string behind .value.
+    # _value_ is the plain string behind .value.
     row = "%.12g,%.12g,%.12g,%.12g,%s,%s,%s,%s"
     for value in spec.grid():
         try:
             params = with_param(scenario.params, spec.name, value)
         except DomainError as exc:
-            print(f"warning: skipped {spec.name}={_fmt(value)}: {exc}", file=sys.stderr)
+            print(f"warning: skipped {spec.name}={value:.12g}: {exc}", file=sys.stderr)
             skipped.append((value, str(exc)))
             continue
         case, _, _, band, behavior_g, behavior_g_star = regime_labels(params, epsilon)
@@ -121,7 +119,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             band._value_, behavior_g._value_, behavior_g_star._value_, case._value_,
         ))
     for value, reason in skipped:
-        rows.append(f"# skipped {spec.name}={_fmt(value)}: {reason}")
+        rows.append(f"# skipped {spec.name}={value:.12g}: {reason}")
     _write_table(args.out, rows)
     return 0
 
@@ -129,9 +127,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     series = read_income_series(args.series)
     fit = fit_growth_rate(series)
-    print(f"lambda: {_fmt(fit.lam)}")
-    print(f"p0: {_fmt(fit.p0)}")
-    print(f"residual: {_fmt(fit.residual)}")
+    print(f"lambda: {fit.lam:.12g}")
+    print(f"p0: {fit.p0:.12g}")
+    print(f"residual: {fit.residual:.12g}")
     print(f"points: {len(series.points)}")
     if args.write_scenario is not None:
         if args.n is None:
@@ -140,9 +138,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             series, args.n, a=args.a, a_star=args.a_star, b=args.b, b_star=args.b_star
         )
         doc = {key: getattr(params, field) for key, field in PARAM_KEYS.items()}
-        Path(args.write_scenario).write_text(
-            json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_table(args.write_scenario, [json.dumps(doc, indent=2)])
         print(f"scenario_written: {args.write_scenario}")
     return 0
 
@@ -209,7 +205,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:
-        detail = "" if exc.last_time is None else f" (last good t = {_fmt(exc.last_time)})"
+        detail = "" if exc.last_time is None else f" (last good t = {exc.last_time:.12g})"
         print(f"error: {exc}{detail}", file=sys.stderr)
         return 1
     except (QuadratureError, OverflowError) as exc:

@@ -225,8 +225,9 @@ def integrate(
     Raises:
         DomainError: invalid arguments, or income models that cannot be
             evaluated on the window (e.g. tabulated range too short).
-        IntegrationError: a non-positive income sample mid-run, or step
-            underflow in adaptive mode; carries the last good state.
+        IntegrationError: a non-positive or overflowing income sample
+            mid-run, a state that leaves the positive finite range, or
+            step underflow in adaptive mode; carries the last good state.
     """
     if method not in ("rk4", "rkf45"):
         raise DomainError(f"method must be 'rk4' or 'rkf45', got {method!r}")
@@ -245,11 +246,14 @@ def integrate(
 
     def coefficients(t: float) -> tuple[float, float, float, float]:
         # The only income call site: (c_B, c_S, p, q) at t, for the RHS (c_B * B, c_S * S).
-        pv, qv = p.value(t), q.value(t)
-        if pv <= 0.0 or qv <= 0.0:
-            raise failure(f"non-positive income sample at t = {t}")
-        return (a * p.derivative(t) / pv - b * qv / pv,
-                a_s * q.derivative(t) / qv - b_s * pv / qv, pv, qv)
+        try:
+            pv, qv = p.value(t), q.value(t)
+            if pv <= 0.0 or qv <= 0.0:
+                raise failure(f"non-positive income sample at t = {t}")
+            return (a * p.derivative(t) / pv - b * qv / pv,
+                    a_s * q.derivative(t) / qv - b_s * pv / qv, pv, qv)
+        except OverflowError:
+            raise failure(f"income overflows at t = {t}") from None
 
     def record(t: float, B: float, S: float, sample) -> None:
         if B <= 0.0 or S <= 0.0 or not (math.isfinite(B) and math.isfinite(S)):
@@ -322,8 +326,6 @@ def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record) -
     step = checked(step, "step", above=0.0)
     tol = checked(tol, "tol", above=0.0)
     span = t_end - params.t0
-    if span == 0.0:
-        return
     t = params.t0
     B, S = params.B0, params.B0_star
     h = min(step, span)

@@ -153,13 +153,6 @@ def regime_labels(
     )
 
 
-def _regime(params: ScenarioParams, epsilon) -> tuple[float, GrowthCase, float, float]:
-    """Checked epsilon, growth case, boundary_g and boundary_g_star."""
-    epsilon = _checked_epsilon(epsilon)
-    case, boundary_g, boundary_g_star = regime_labels(params, epsilon)[:3]
-    return epsilon, case, boundary_g, boundary_g_star
-
-
 def _behavior(growth_term: float, loss_term: float, epsilon: float) -> Behavior:
     # Both terms are positive; the exponent is their difference.
     if math.isclose(growth_term, loss_term, rel_tol=epsilon):
@@ -240,7 +233,7 @@ def double_positive_interval(
     b_star/(a_star*lam) < a*lam/b strictly; the Critical case has a
     degenerate (empty) interval and returns None.
     """
-    _, case, boundary_g, boundary_g_star = _regime(params, epsilon)
+    case, boundary_g, boundary_g_star = regime_labels(params, _checked_epsilon(epsilon))[:3]
     return (boundary_g_star, boundary_g) if case is GrowthCase.HIGH else None
 
 
@@ -248,7 +241,7 @@ def low_band_feasibility(
     params: ScenarioParams, epsilon: float = DEFAULT_EPSILON
 ) -> FeasibilityRecord:
     """Report whether {n : 1 <= n < Low band's upper edge} is nonempty."""
-    _, case, boundary_g, boundary_g_star = _regime(params, epsilon)
+    case, boundary_g, boundary_g_star = regime_labels(params, _checked_epsilon(epsilon))[:3]
     low_band_upper = min(boundary_g, boundary_g_star)
     return FeasibilityRecord(
         growth_case=case,
@@ -272,7 +265,8 @@ def verify_nhat_bracketing(
         DomainError: for the Critical case, where the middle band
             collapses and the check does not apply.
     """
-    epsilon, case, boundary_g, boundary_g_star = _regime(params, epsilon)
+    epsilon = _checked_epsilon(epsilon)
+    case, boundary_g, boundary_g_star = regime_labels(params, epsilon)[:3]
     if case is GrowthCase.CRITICAL:
         raise DomainError("bracketing check does not apply to the Critical growth case")
     if case is GrowthCase.LOW:

@@ -180,11 +180,12 @@ def load_scenario(path) -> Scenario:
 
 def with_param(params: ScenarioParams, name: str, value: float) -> ScenarioParams:
     """Copy params with one file-keyed parameter replaced. Only that field is
-    checked; the others were checked when the frozen params was built."""
+    checked, and stored as check_fields stores it; the others were checked
+    when the frozen params was built."""
     field = PARAM_KEYS.get(name)
     if field is None:
         raise DomainError(f"unknown parameter name {name!r}")
-    value = checked(value, field, ScenarioParams._bounds[field])
+    value = checked(value, field, ScenarioParams._bounds[field]) + 0.0
     copy = object.__new__(ScenarioParams)
     copy.__dict__.update(params.__dict__, **{field: value})
     return copy

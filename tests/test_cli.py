@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wellbeing_dynamics import ScenarioParams, cli, core, regime
-from wellbeing_dynamics.cli import _fmt
 from wellbeing_dynamics.errors import DomainError
 from wellbeing_dynamics.scenario import PARAM_KEYS, SWEEPABLE, parse_sweep, with_param
 
@@ -224,6 +223,46 @@ class TestSimulate:
         assert r.returncode in (1, 2)
         assert r.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("mode", ["ode", "both"])
+    def test_income_overflow_mid_run_exits_1(self, tmp_path, mode):
+        # exp(1e100 * t) overflows at the first midpoint; the integrator
+        # reports it with the last good t instead of a bare OverflowError.
+        sc = write_scenario(tmp_path / "huge.json", **{"lambda": 1e100})
+        r = run_cli("simulate", "--scenario", sc, "--t-end", "5",
+                    "--mode", mode, "--out", str(tmp_path / "x.csv"))
+        assert r.returncode == 1
+        assert r.stderr == "error: income overflows at t = 0.005 (last good t = 0)\n"
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("mode", ["closed", "ode", "both"])
+    def test_one_time_grid_per_run(self, scenario, tmp_path, monkeypatch, mode):
+        # A deterministic work counter: each module's binding of time_grid
+        # counts into the same list, and both paths of --mode both share one grid.
+        from wellbeing_dynamics import dynamics
+
+        calls = []
+        time_grid = dynamics.time_grid
+
+        def counting(t0, t_end, step):
+            calls.append((t0, t_end, step))
+            return time_grid(t0, t_end, step)
+
+        monkeypatch.setattr(dynamics, "time_grid", counting)
+        monkeypatch.setattr(cli, "time_grid", counting)
+        out = tmp_path / "traj.csv"
+        assert cli.main(["simulate", "--scenario", scenario, "--t-end", "3",
+                         "--mode", mode, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 302
+        assert calls == [(0.0, 3.0, 0.01)]
+
+    @pytest.mark.parametrize("mode", ["closed", "ode", "both"])
+    def test_negative_zero_t0_prints_zero(self, tmp_path, mode):
+        sc = write_scenario(tmp_path / "negzero.json", t0=-0.0)
+        out = tmp_path / "traj.csv"
+        assert cli.main(["simulate", "--scenario", sc, "--t-end", "1",
+                         "--mode", mode, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[0] == "0"
+
 
 class TestRowTemplate:
     """simulate formats a row with one "%.12g" template per column."""
@@ -232,12 +271,12 @@ class TestRowTemplate:
     @example(-0.0)
     @example(5e-324)
     def test_percent_format_equals_format_spec(self, x):
-        assert "%.12g" % x == format(x, ".12g") == _fmt(x)
+        assert "%.12g" % x == format(x, ".12g")
 
     @given(st.lists(st.floats(), min_size=1, max_size=7))
     def test_row_template_equals_joined_fields(self, row):
         template = ",".join(["%.12g"] * len(row))
-        assert template % tuple(row) == ",".join(map(_fmt, row))
+        assert template % tuple(row) == ",".join(format(x, ".12g") for x in row)
 
 
 class TestSweep:
@@ -384,11 +423,11 @@ def _oracle_table(params, vary, eps):
         case, band, g, g_star = _oracle_labels(p, eps)
         f_value = core.ratio_analysis(p).f_value
         rows.append(
-            f"{_fmt(value)},{_fmt(core.exponent_g(p))},{_fmt(core.exponent_g_star(p))},"
-            f"{_fmt(f_value)},{band},{g},{g_star},{case}"
+            f"{value:.12g},{core.exponent_g(p):.12g},{core.exponent_g_star(p):.12g},"
+            f"{f_value:.12g},{band},{g},{g_star},{case}"
         )
     for value, reason in skipped:
-        rows.append(f"# skipped {spec.name}={_fmt(value)}: {reason}")
+        rows.append(f"# skipped {spec.name}={value:.12g}: {reason}")
     return "\n".join(rows) + "\n"
 
 
@@ -521,6 +560,17 @@ class TestCalibrate:
                     "--write-scenario", str(tmp_path / "x.json"))
         assert r.returncode == 2
         assert "--n" in r.stderr
+
+    def test_write_scenario_into_missing_directory_exits_2(self, tmp_path):
+        # Same writer and error as simulate's --out.
+        series = self.write_series(tmp_path / "gdp.txt",
+                                   [(2000, 5064), (2018, 18592)])
+        target = tmp_path / "missing" / "f.json"
+        r = run_cli("calibrate", "--series", series,
+                    "--write-scenario", str(target), "--n", "2")
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: cannot write output file {target}: ")
+        assert "Traceback" not in r.stderr
 
     def test_flat_series_assembly_refused(self, tmp_path):
         series = self.write_series(tmp_path / "flat.txt",

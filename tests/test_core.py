@@ -64,6 +64,11 @@ class TestScenarioParams:
         with pytest.raises(DomainError, match=field.replace("_", ".")):
             replace(SYM, **{field: bad})
 
+    def test_negative_zero_stored_as_zero(self):
+        # A -0.0 field would print "-0" where +0.0 prints "0".
+        p = replace(SYM, t0=-0.0)
+        assert math.copysign(1.0, p.t0) == 1.0
+
     def test_rejects_nonfinite_t0(self):
         with pytest.raises(DomainError):
             replace(SYM, t0=math.inf)

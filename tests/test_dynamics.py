@@ -264,12 +264,34 @@ class TestIntegrate:
         assert tr.p[0] == HIGH.p0
         assert tr.q[0] == HIGH.n * HIGH.p0
 
-    def test_single_sample_when_span_zero(self):
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_single_sample_when_span_zero(self, method):
         p, q = self.exponential_pair(HIGH)
-        tr = integrate(p, q, HIGH, HIGH.t0)
+        tr = integrate(p, q, HIGH, HIGH.t0, method=method)
         assert tr.times == (HIGH.t0,)
         assert tr.B == (HIGH.B0,)
         assert tr.B_star == (HIGH.B0_star,)
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_income_overflow_raises_with_last_state(self, method):
+        # exp(1e100 * t) overflows at the first stage after t0.
+        params = replace(HIGH, lam=1e100)
+        p, q = self.exponential_pair(params)
+        with pytest.raises(IntegrationError, match=r"^income overflows at t = ") as exc_info:
+            integrate(p, q, params, 5.0, method=method)
+        assert exc_info.value.last_time == params.t0
+        assert exc_info.value.last_state == (params.B0, params.B0_star)
+
+    def test_state_overflow_raises_with_last_finite_state(self):
+        # b = 1e3 makes h * c_B = -15, outside RK4's stability region: each
+        # step multiplies B by about 1.6e3 until it overflows at t = 0.95.
+        params = replace(HIGH, b=1e3)
+        p, q = self.exponential_pair(params)
+        with pytest.raises(IntegrationError,
+                           match=r"^state left the positive domain at t = 0\.95") as exc_info:
+            integrate(p, q, params, 5.0, step=0.01)
+        B, S = exc_info.value.last_state
+        assert math.isfinite(B) and math.isfinite(S) and B > 0.0 and S > 0.0
 
     def test_exactly_cancelling_rates_hold_levels_constant(self):
         # a*lam == b*n and a_star*lam == b_star/n: both derivatives are

@@ -268,6 +268,11 @@ class TestWithParam:
                 result.n = 1.0
         assert vars(params) == before
 
+    def test_negative_zero_stored_as_zero(self):
+        # As ScenarioParams stores it, so t0 = -0.0 prints "0", not "-0".
+        params = parse_scenario(doc()).params
+        assert math.copysign(1.0, with_param(params, "t0", -0.0).t0) == 1.0
+
     def test_unknown_name_rejected(self):
         params = parse_scenario(doc()).params
         for name in ("B1", "lam", ""):
