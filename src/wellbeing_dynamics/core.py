@@ -102,14 +102,27 @@ def exponent_g_star(params: ScenarioParams) -> float:
     return params.a_star * params.lam - params.b_star / params.n
 
 
+def _grown(params: ScenarioParams, t, name: str, level: float, rate: float) -> float:
+    """level * exp(rate * (t - t0)); past the float range, an OverflowError naming t and its log."""
+    dt = _elapsed(params, t)
+    try:
+        value = level * math.exp(rate * dt)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        log_value = math.log(level) + rate * dt
+        raise OverflowError(f"{name} overflows at t = {float(t):.12g}: ln {name} = {log_value:.12g}")
+    return value
+
+
 def closed_form_B(params: ScenarioParams, t) -> float:
     """Well-being of G at time t >= t0 under the exponential income pair."""
-    return params.B0 * math.exp(exponent_g(params) * _elapsed(params, t))
+    return _grown(params, t, "B", params.B0, exponent_g(params))
 
 
 def closed_form_B_star(params: ScenarioParams, t) -> float:
     """Well-being of G* at time t >= t0 under the exponential income pair."""
-    return params.B0_star * math.exp(exponent_g_star(params) * _elapsed(params, t))
+    return _grown(params, t, "B_star", params.B0_star, exponent_g_star(params))
 
 
 def general_wellbeing(
@@ -180,7 +193,9 @@ def ratio_analysis(params: ScenarioParams) -> RatioAnalysis:
     g_rate = gap_term - (params.b * params.n - params.b_star / params.n)
     f_value = params.b * squared(params.n, "n") - gap_term * params.n - params.b_star
     discriminant = squared(gap_term, "(a - a_star) * lam") + 4.0 * params.b * params.b_star
-    n_hat = (gap_term + math.sqrt(discriminant)) / (2.0 * params.b)
+    root = math.sqrt(discriminant)  # n_hat's second form: the same root, without cancellation
+    n_hat = ((gap_term + root) / (2.0 * params.b) if gap_term >= 0.0
+             else 2.0 * params.b_star / (root - gap_term))
     return RatioAnalysis(
         g_rate=g_rate, f_value=f_value, discriminant=discriminant, n_hat=n_hat
     )

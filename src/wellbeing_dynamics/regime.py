@@ -5,8 +5,8 @@ boundary_g = a*lam/b (where G's exponent vanishes) and boundary_g_star
 = b_star/(a_star*lam) (where G*'s does). Which boundary comes first is
 decided by the growth case: lam**2 below or above b*b_star/(a*a_star).
 
-classify and `wbdyn sweep` share one label routine, regime_labels, so a
-sweep row's growth case, band and behaviors are exactly classify's.
+classify and `wbdyn sweep` share one label routine, coefficient_labels,
+so a sweep row's growth case, band and behaviors are exactly classify's.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import isclose
 
 from .core import ScenarioParams, ratio_analysis
 from .errors import DomainError, checked, squared
@@ -110,70 +111,66 @@ def _underflow(label: str, x: float, y: float) -> DomainError:
     return DomainError(f"{label} = {x!r} * {y!r} underflows to 0; cannot classify")
 
 
-def _growth_case(params: ScenarioParams, epsilon: float) -> GrowthCase:
-    lhs = squared(params.lam, "lam")
+# Members under module names: an Enum class attribute costs ~0.2 us a lookup on CPython 3.11.
+_CRITICAL, _LOW_GROWTH, _HIGH_GROWTH = GrowthCase.CRITICAL, GrowthCase.LOW, GrowthCase.HIGH
+_LOW, _MEDIUM, _HIGH, _BOUNDARY = Band.LOW, Band.MEDIUM, Band.HIGH, Band.BOUNDARY
+_DIVERGES, _CONSTANT, _DECAYS = Behavior.DIVERGES, Behavior.CONSTANT, Behavior.DECAYS
+_Labels = tuple[GrowthCase, float, float, Band, Behavior, Behavior]
+
+
+def _growth_case(a, a_star, b, b_star, lam, epsilon: float) -> GrowthCase:
+    lhs = squared(lam, "lam")
     try:
-        rhs = (params.b * params.b_star) / (params.a * params.a_star)
+        rhs = (b * b_star) / (a * a_star)
     except ZeroDivisionError:
-        raise _underflow("a * a_star", params.a, params.a_star) from None
-    if math.isclose(lhs, rhs, rel_tol=epsilon):
-        return GrowthCase.CRITICAL
-    return GrowthCase.LOW if lhs < rhs else GrowthCase.HIGH
+        raise _underflow("a * a_star", a, a_star) from None
+    if isclose(lhs, rhs, rel_tol=epsilon):
+        return _CRITICAL
+    return _LOW_GROWTH if lhs < rhs else _HIGH_GROWTH
 
 
 def growth_case(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> GrowthCase:
     """Compare lam**2 against b*b_star/(a*a_star) with relative tolerance."""
-    return _growth_case(params, _checked_epsilon(epsilon))
+    p = params
+    return _growth_case(p.a, p.a_star, p.b, p.b_star, p.lam, _checked_epsilon(epsilon))
 
 
-def regime_labels(
-    params: ScenarioParams, epsilon: float
-) -> tuple[GrowthCase, float, float, Band, Behavior, Behavior]:
+def coefficient_labels(a: float, a_star: float, b: float, b_star: float, lam: float,
+                       n: float, epsilon: float) -> _Labels:
     """Growth case, boundary_g, boundary_g_star, band, behavior_g and
-    behavior_g_star of params, for an epsilon the caller has checked.
-
-    classify and the sweep rows both take their labels from here.
+    behavior_g_star from the six coefficients, for an epsilon the caller
+    has checked. classify (through regime_labels) and sweep rows both
+    take their labels from here.
 
     Raises:
-        DomainError: a*a_star or a_star*lam underflows to 0, or lam**2
-            overflows.
+        DomainError: a_star*lam underflows to 0, lam**2 overflows, or
+            a*a_star underflows to 0, checked in that order.
     """
-    boundary_g = params.a * params.lam / params.b
+    boundary_g = a * lam / b
     try:
-        boundary_g_star = params.b_star / (params.a_star * params.lam)
+        boundary_g_star = b_star / (a_star * lam)
     except ZeroDivisionError:
-        raise _underflow("a_star * lam", params.a_star, params.lam) from None
-    return (
-        _growth_case(params, epsilon),
-        boundary_g,
-        boundary_g_star,
-        _band(params.n, boundary_g, boundary_g_star, epsilon),
-        _behavior(params.a * params.lam, params.b * params.n, epsilon),
-        _behavior(params.a_star * params.lam, params.b_star / params.n, epsilon),
-    )
-
-
-def _behavior(growth_term: float, loss_term: float, epsilon: float) -> Behavior:
-    # Both terms are positive; the exponent is their difference.
-    if math.isclose(growth_term, loss_term, rel_tol=epsilon):
-        return Behavior.CONSTANT
-    return Behavior.DIVERGES if growth_term > loss_term else Behavior.DECAYS
-
-
-def _band(n: float, boundary_g: float, boundary_g_star: float, epsilon: float) -> Band:
-    if math.isclose(n, boundary_g, rel_tol=epsilon) or math.isclose(
-        n, boundary_g_star, rel_tol=epsilon
-    ):
-        return Band.BOUNDARY
-    if boundary_g_star < boundary_g:
-        lo, hi = boundary_g_star, boundary_g
+        raise _underflow("a_star * lam", a_star, lam) from None
+    case = _growth_case(a, a_star, b, b_star, lam, epsilon)
+    if isclose(n, boundary_g, rel_tol=epsilon) or isclose(n, boundary_g_star, rel_tol=epsilon):
+        band = _BOUNDARY
+    elif n < boundary_g and n < boundary_g_star:
+        band = _LOW
     else:
-        lo, hi = boundary_g, boundary_g_star
-    if n < lo:
-        return Band.LOW
-    if n > hi:
-        return Band.HIGH
-    return Band.MEDIUM
+        band = _HIGH if n > boundary_g and n > boundary_g_star else _MEDIUM
+    growth, loss = a * lam, b * n
+    behavior_g = (_CONSTANT if isclose(growth, loss, rel_tol=epsilon)
+                  else _DIVERGES if growth > loss else _DECAYS)
+    growth, loss = a_star * lam, b_star / n
+    behavior_g_star = (_CONSTANT if isclose(growth, loss, rel_tol=epsilon)
+                       else _DIVERGES if growth > loss else _DECAYS)
+    return case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star
+
+
+def regime_labels(params: ScenarioParams, epsilon: float) -> _Labels:
+    """coefficient_labels of params, for an epsilon the caller has checked."""
+    p = params
+    return coefficient_labels(p.a, p.a_star, p.b, p.b_star, p.lam, p.n, epsilon)
 
 
 def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> RegimeReport:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -234,6 +236,21 @@ class TestSimulate:
         assert r.stderr == "error: income overflows at t = 0.005 (last good t = 0)\n"
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("field,name,t,log_value", [
+        ("a", "B", "71.52", "709.836"),            # exponent 10 - 0.05 * 1.5
+        ("a_star", "B_star", "71.22", "709.826"),  # exponent 10 - 0.05 / 1.5
+    ])
+    def test_closed_form_overflow_names_t_and_log_value(self, tmp_path, field, name, t,
+                                                        log_value):
+        # With a sensitivity of 10 and lambda = 1, exp leaves the float range
+        # at the first grid time t where the exponent times t exceeds ln(DBL_MAX).
+        sc = write_scenario(tmp_path / "s.json", **{field: 10.0, "lambda": 1.0})
+        out = tmp_path / "x.csv"
+        r = run_cli("simulate", "--scenario", sc, "--t-end", "80", "--out", str(out))
+        assert r.returncode == 1
+        assert r.stderr == f"error: {name} overflows at t = {t}: ln {name} = {log_value}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["closed", "ode", "both"])
     def test_one_time_grid_per_run(self, scenario, tmp_path, monkeypatch, mode):
         # A deterministic work counter: each module's binding of time_grid
@@ -343,25 +360,32 @@ class TestSweep:
                     "--out", str(tmp_path / "x.csv"))
         assert r.returncode == 2
 
-    def test_one_ratio_analysis_per_row(self, scenario, tmp_path, monkeypatch):
-        # A deterministic work counter, not a timing: each module's binding
-        # of ratio_analysis counts into the same list.
-        from wellbeing_dynamics import cli, core, regime
+    def test_no_ratio_analysis_or_with_param_per_row(self, scenario, tmp_path, monkeypatch):
+        # A deterministic work counter, not a timing: every module's binding
+        # of ratio_analysis and with_param counts into the same list.
+        from wellbeing_dynamics import scenario as scenario_module
 
         calls = []
 
-        def counting(params):
-            calls.append(params)
-            return core.ratio_analysis(params)
+        def count_calls(owner, attr):
+            wrapped = getattr(owner, attr)
 
-        monkeypatch.setattr(regime, "ratio_analysis", counting)
-        monkeypatch.setattr(cli, "ratio_analysis", counting)
+            def call(*args):
+                calls.append(attr)
+                return wrapped(*args)
+
+            monkeypatch.setattr(owner, attr, call)
+
+        for owner in (cli, regime):
+            count_calls(owner, "ratio_analysis")
+        for owner in (cli, scenario_module):
+            count_calls(owner, "with_param")
         out = tmp_path / "sweep.csv"
-        assert cli.main(["sweep", "--scenario", scenario, "--vary", "n=0.1:10:0.1",
+        assert cli.main(["sweep", "--scenario", scenario, "--vary", "n=-0.2:10:0.1",
                          "--out", str(out)]) == 0
-        rows = out.read_text().splitlines()[1:]
-        assert len(rows) == 100
-        assert len(calls) == len(rows)
+        lines = out.read_text().splitlines()[1:]
+        assert len([line for line in lines if not line.startswith("#")]) == 100
+        assert calls == []
 
     def test_no_classify_per_row(self, scenario, tmp_path, monkeypatch):
         # Rows take their labels from regime_labels; no RegimeReport is built.
@@ -472,6 +496,96 @@ class TestSweepRowsMatchClassify:
             assert cli.main(["sweep", "--scenario", str(path), "--vary", vary,
                              "--tolerance", repr(eps), "--out", str(out)]) == 0
             assert out.read_text() == _oracle_table(params, vary, eps)
+
+
+def _reference_sweep(params, vary, eps):
+    """(exit code, stderr, table or None) of the per-row chain sweep rows
+    ran before they became one pass on floats: with_param, regime_labels,
+    ratio_analysis and the exponents, all on a ScenarioParams per row."""
+    spec = parse_sweep(vary)
+    rows = ["value,exponent_g,exponent_g_star,f_value,band,behavior_g,behavior_g_star,growth_case"]
+    stderr, skipped = [], []
+    for value in spec.grid():
+        try:
+            p = with_param(params, spec.name, value)
+        except DomainError as exc:
+            stderr.append(f"warning: skipped {spec.name}={value:.12g}: {exc}\n")
+            skipped.append((value, str(exc)))
+            continue
+        try:
+            case, _, _, band, g, g_star = regime.regime_labels(p, eps)
+            f_value = core.ratio_analysis(p).f_value
+        except DomainError as exc:
+            return 2, "".join(stderr) + f"error: {exc}\n", None
+        rows.append(
+            f"{value:.12g},{core.exponent_g(p):.12g},{core.exponent_g_star(p):.12g},"
+            f"{f_value:.12g},{band.value},{g.value},{g_star.value},{case.value}"
+        )
+    rows += [f"# skipped {spec.name}={value:.12g}: {reason}" for value, reason in skipped]
+    return 0, "".join(stderr), "\n".join(rows) + "\n"
+
+
+def _run_sweep(params, vary, eps):
+    """(exit code, stderr, table or None) of wbdyn sweep, run in-process."""
+    doc = {key: getattr(params, field) for key, field in PARAM_KEYS.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "s.json"), Path(tmp, "out.csv")
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = cli.main(["sweep", "--scenario", str(path), "--vary", vary,
+                             "--tolerance", repr(eps), "--out", str(out)])
+        return code, stderr.getvalue(), out.read_text() if out.exists() else None
+
+
+# Any magnitude from 1e-300 to 1e300: squares overflow and products underflow.
+magnitude = st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 9.9), st.integers(-300, 300))
+wide_params = st.builds(
+    ScenarioParams, a=magnitude, a_star=magnitude, b=magnitude, b_star=magnitude,
+    lam=magnitude, n=magnitude, B0=st.just(1.0), B0_star=st.just(2.0),
+    p0=st.just(1.0), t0=st.just(0.0),
+)
+
+
+def base_params(fields):
+    """BASE as ScenarioParams, with file-keyed fields replaced."""
+    doc = dict(BASE, **fields)
+    return ScenarioParams(**{field: doc[key] for key, field in PARAM_KEYS.items()})
+
+
+class TestSweepKernel:
+    """Sweep tables and stderr against the per-row reference, over full
+    ranges: grids from below, at or above 0, and rows that raise."""
+
+    @pytest.mark.parametrize("name", SWEEPABLE)
+    @given(params=wide_params, eps=tolerance, start=st.sampled_from([-1.0, 0.0, 0.001, 0.5]),
+           span=st.floats(1.0, 1e4), points=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_table_and_stderr_equal_reference(self, name, params, eps, start, span, points):
+        centre = getattr(params, PARAM_KEYS[name])
+        stop = centre * span
+        first = start * centre
+        vary = f"{name}={first!r}:{stop!r}:{(stop - first) / points!r}"
+        assert _run_sweep(params, vary, eps) == _reference_sweep(params, vary, eps)
+
+    @pytest.mark.parametrize("fields,vary,error", [
+        # Two rows, then n**2 overflows.
+        ({}, "n=5e153:1e155:5e153", "error: n = 1.5e+154 overflows when squared"),
+        # lam**2 and ((a - a_star) * lam)**2 both overflow; labels come first.
+        ({"a": 2.0}, "lambda=1:1e200:2e199", "error: lam = 2e+199 overflows when squared"),
+        # n**2 and ((a - a_star) * lam)**2 both overflow; f_value's square comes first.
+        ({"n": 1e155, "a": 1e160}, "b_star=0.04:0.06:0.01",
+         "error: n = 1e+155 overflows when squared"),
+        # Three skipped rows, then a_star*lam and a*a_star both underflow;
+        # the boundary comes first.
+        ({"a": 1e-200, "a_star": 1e-200}, "lambda=-2e-200:1e-200:1e-200",
+         "error: a_star * lam = 1e-200 * 1e-200 underflows to 0; cannot classify"),
+    ])
+    def test_domain_error_mid_grid(self, fields, vary, error):
+        params = base_params(fields)
+        code, stderr, table = _run_sweep(params, vary, 1e-9)
+        assert (code, stderr, table) == _reference_sweep(params, vary, 1e-9)
+        assert code == 2 and table is None
+        assert stderr.splitlines()[-1] == error
 
 
 class TestExtremeInputs:

@@ -177,6 +177,16 @@ class TestClosedForms:
             assert math.isclose(closed_form_B_star(p, t),
                                 closed_form_B(swapped, t), rel_tol=1e-12)
 
+    def test_overflow_names_t_and_log_value(self):
+        # For B the exponential overflows; for B* it is finite and its
+        # product with B0_star is not.
+        p = replace(HIGH, a=10.0, B0_star=1e300)
+        with pytest.raises(OverflowError, match=r"^B overflows at t = 800: ln B = 740$"):
+            closed_form_B(p, 800.0)
+        with pytest.raises(OverflowError, match=r"^B_star overflows at t = 300: ln B_star = 710\.77"):
+            closed_form_B_star(p, 300.0)
+        assert closed_form_B_star(p, 10.0) == 1e300 * math.exp(exponent_g_star(p) * 10.0)
+
     @given(st.floats(min_value=0.0, max_value=50.0))
     @settings(deadline=None)
     def test_strictly_positive(self, dt):
@@ -272,6 +282,15 @@ class TestRatioAnalysis:
         # The root annihilates the sign quadratic.
         at_root = ratio_analysis(replace(p, n=r.n_hat))
         assert abs(at_root.f_value) <= 1e-9 * p.b * r.n_hat ** 2
+
+    def test_root_when_gap_term_dwarfs_loss_rates(self):
+        # (a - a_star)*lam = -1e6 and 4*b*b_star = 4e-6: gap_term + sqrt(discriminant)
+        # cancels to 0.0, while the positive root is about b_star/|gap_term| = 1e-9.
+        p = ScenarioParams(a=1e-3, a_star=1e3, b=1e-3, b_star=1e-3, lam=1e3,
+                           n=1.0, B0=1.0, B0_star=1.0, p0=1.0)
+        gap = (mp.mpf(1e-3) - mp.mpf(1e3)) * mp.mpf(1e3)
+        n_oracle = (gap + mp.sqrt(gap**2 + 4 * mp.mpf(1e-3) ** 2)) / (2 * mp.mpf(1e-3))
+        assert math.isclose(ratio_analysis(p).n_hat, float(n_oracle), rel_tol=1e-12)
 
     def test_quadratic_and_rate_oppose(self):
         r = ratio_analysis(HIGH)
