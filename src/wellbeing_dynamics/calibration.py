@@ -13,8 +13,6 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
-from pathlib import Path
 
 from .core import ScenarioParams
 from .errors import DomainError, checked, checked_points
@@ -200,9 +198,9 @@ def read_income_series(path) -> IncomeSeries:
     Columns may be separated by commas or whitespace; blank lines and
     lines starting with '#' are ignored.
     """
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise DomainError(f"cannot read series file {path}: {exc}") from None
     return _parse_series_text(text, str(path))
@@ -210,6 +208,7 @@ def read_income_series(path) -> IncomeSeries:
 
 def chile_gdp_series() -> IncomeSeries:
     """Bundled Chile GDP per capita observations (2000 and 2018)."""
+    from importlib import resources  # on use, so that importing the package does not load it
     text = resources.files(__package__).joinpath("data/chile_gdp_percapita.txt").read_text(
         encoding="utf-8"
     )

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .calibration import fit_growth_rate, read_income_series, scenario_from_data
 # The benchmark's traced run wraps classify, exponent_g, exponent_g_star, ratio_analysis and
 # with_param here by name to count calls: they stay bound though sweep rows call none of them.
 from .core import (ScenarioParams, closed_form_B, closed_form_B_star, exponent_g,
-                   exponent_g_star, ratio_analysis)
+                   exponent_g_star, ratio_analysis, sign_quadratic)
 from .dynamics import integrate, max_relative_deviation, time_grid
-from .errors import DomainError, IntegrationError, QuadratureError, checked, squared
+from .errors import DomainError, IntegrationError, QuadratureError, checked
 from .regime import classify, coefficient_labels
 from .scenario import PARAM_KEYS, SWEEPABLE, load_scenario, parse_sweep, with_param
 
@@ -87,7 +88,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         B = [closed_form_B(closed_params, t) for t in times]
         S = [closed_form_B_star(closed_params, t) for t in times]
         if args.mode == "closed":
-            columns = [times, B, S, [p.value(t) for t in times], [q.value(t) for t in times]]
+            columns = [times, B, S, *zip(*(_incomes(p, q, t) for t in times))]
         else:
             columns = [times, B, S, tr.p, tr.q, tr.B, tr.B_star]
     header = "t,B,B_star,p,q" + (",B_ode,B_star_ode" if args.mode == "both" else "")
@@ -99,14 +100,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _incomes(p, q, t: float) -> tuple[float, float]:
+    """(p(t), q(t)); an OverflowError naming t when either leaves the float range."""
+    try:
+        pair = p.value(t), q.value(t)
+    except OverflowError:
+        pair = (math.inf,)
+    if math.inf in pair:
+        raise OverflowError(f"income overflows at t = {t:.12g}")
+    return pair
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     epsilon = _tolerance(args, scenario)
     spec = parse_sweep(args.vary)
     rows = ["value,exponent_g,exponent_g_star,f_value,band,behavior_g,behavior_g_star,growth_case"]
     skipped = []
-    # One pass on floats; SWEEPABLE is coefficient_labels' argument order. A row: with_param's
-    # check, the labels, then core's expressions and squared checks. _value_ is an enum's .value.
+    # One pass on floats; SWEEPABLE is coefficient_labels' and sign_quadratic's argument order.
+    # A row: with_param's check, the labels and exponents, then f. _value_ is an enum's .value.
     coefficients = [getattr(scenario.params, PARAM_KEYS[key]) for key in SWEEPABLE]
     at, field = SWEEPABLE.index(spec.name), PARAM_KEYS[spec.name]
     bound = ScenarioParams._bounds[field]
@@ -118,14 +130,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             skipped.append(f"skipped {spec.name}={value:.12g}: {exc}")
             print("warning: " + skipped[-1], file=sys.stderr)
             continue
-        a, a_star, b, b_star, lam, n = coefficients
-        case, _, _, band, behavior_g, behavior_g_star = coefficient_labels(*coefficients, epsilon)
-        gap = (a - a_star) * lam
-        f_value = b * squared(n, "n") - gap * n - b_star
-        squared(gap, "(a - a_star) * lam")
+        case, _, _, band, g, g_star, exp_g, exp_g_star = coefficient_labels(*coefficients, epsilon)
         rows.append(row % (
-            value, a * lam - b * n, a_star * lam - b_star / n, f_value,
-            band._value_, behavior_g._value_, behavior_g_star._value_, case._value_,
+            value, exp_g, exp_g_star, sign_quadratic(*coefficients)[1],
+            band._value_, g._value_, g_star._value_, case._value_,
         ))
     _write_table(args.out, rows + ["# " + line for line in skipped])
     return 0

@@ -102,16 +102,22 @@ def exponent_g_star(params: ScenarioParams) -> float:
     return params.a_star * params.lam - params.b_star / params.n
 
 
-def _grown(params: ScenarioParams, t, name: str, level: float, rate: float) -> float:
-    """level * exp(rate * (t - t0)); past the float range, an OverflowError naming t and its log."""
+def _grown(params: ScenarioParams, t, name: str, level: float, rate: float,
+           per: float = 1.0) -> float:
+    """exp(rate * (t - t0)) * level / per, taken from its log when a partial product
+    overflows; past the float range, an OverflowError naming t and the log."""
     dt = _elapsed(params, t)
     try:
-        value = level * math.exp(rate * dt)
+        value = math.exp(rate * dt) * level / per
     except OverflowError:
         value = math.inf
     if value == math.inf:
-        log_value = math.log(level) + rate * dt
-        raise OverflowError(f"{name} overflows at t = {float(t):.12g}: ln {name} = {log_value:.12g}")
+        log_value = math.log(level) - math.log(per) + rate * dt
+        try:
+            return math.exp(log_value)
+        except OverflowError:
+            raise OverflowError(
+                f"{name} overflows at t = {float(t):.12g}: ln {name} = {log_value:.12g}") from None
     return value
 
 
@@ -179,6 +185,14 @@ def general_wellbeing(
     return B0 * (p_end / p_start) ** a * math.exp(-b * integral)
 
 
+def sign_quadratic(a: float, a_star: float, b: float, b_star: float, lam: float,
+                   n: float) -> tuple[float, float, float]:
+    """(gap, f, gap**2), gap = (a - a_star)*lam and f = b*n**2 - gap*n - b_star the sign quadratic
+    at n, for ratio_analysis and sweep rows. DomainError when n, then gap, overflows squared."""
+    gap = (a - a_star) * lam
+    return gap, b * squared(n, "n") - gap * n - b_star, squared(gap, "(a - a_star) * lam")
+
+
 def ratio_analysis(params: ScenarioParams) -> RatioAnalysis:
     """Exact ratio rate, sign quadratic, discriminant, and root n_hat.
 
@@ -189,13 +203,13 @@ def ratio_analysis(params: ScenarioParams) -> RatioAnalysis:
     n_hat = ((a - a_star)*lam + sqrt(discriminant)) / (2*b) always exists.
     DomainError when n or (a - a_star)*lam overflows when squared.
     """
-    gap_term = (params.a - params.a_star) * params.lam
-    g_rate = gap_term - (params.b * params.n - params.b_star / params.n)
-    f_value = params.b * squared(params.n, "n") - gap_term * params.n - params.b_star
-    discriminant = squared(gap_term, "(a - a_star) * lam") + 4.0 * params.b * params.b_star
+    p = params
+    gap_term, f_value, gap_squared = sign_quadratic(p.a, p.a_star, p.b, p.b_star, p.lam, p.n)
+    g_rate = gap_term - (p.b * p.n - p.b_star / p.n)
+    discriminant = gap_squared + 4.0 * p.b * p.b_star
     root = math.sqrt(discriminant)  # n_hat's second form: the same root, without cancellation
-    n_hat = ((gap_term + root) / (2.0 * params.b) if gap_term >= 0.0
-             else 2.0 * params.b_star / (root - gap_term))
+    n_hat = ((gap_term + root) / (2.0 * p.b) if gap_term >= 0.0
+             else 2.0 * p.b_star / (root - gap_term))
     return RatioAnalysis(
         g_rate=g_rate, f_value=f_value, discriminant=discriminant, n_hat=n_hat
     )
@@ -203,5 +217,5 @@ def ratio_analysis(params: ScenarioParams) -> RatioAnalysis:
 
 def wellbeing_ratio(params: ScenarioParams, t) -> float:
     """Ratio B(t)/B*(t) from the exact rate, without forming B and B*."""
-    dt = _elapsed(params, t)
-    return math.exp(ratio_analysis(params).g_rate * dt) * params.B0 / params.B0_star
+    g_rate = ratio_analysis(params).g_rate
+    return _grown(params, t, "B/B_star", params.B0, g_rate, params.B0_star)

@@ -6,7 +6,9 @@ boundary_g = a*lam/b (where G's exponent vanishes) and boundary_g_star
 decided by the growth case: lam**2 below or above b*b_star/(a*a_star).
 
 classify and `wbdyn sweep` share one label routine, coefficient_labels,
-so a sweep row's growth case, band and behaviors are exactly classify's.
+so a sweep row's growth case, band and behaviors are exactly classify's;
+it also returns the two exponents, the floats of core's exponent_g and
+exponent_g_star, which sweep rows print.
 """
 
 from __future__ import annotations
@@ -136,11 +138,12 @@ def growth_case(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Gro
 
 
 def coefficient_labels(a: float, a_star: float, b: float, b_star: float, lam: float,
-                       n: float, epsilon: float) -> _Labels:
-    """Growth case, boundary_g, boundary_g_star, band, behavior_g and
-    behavior_g_star from the six coefficients, for an epsilon the caller
-    has checked. classify (through regime_labels) and sweep rows both
-    take their labels from here.
+                       n: float, epsilon: float
+                       ) -> tuple[GrowthCase, float, float, Band, Behavior, Behavior, float, float]:
+    """Growth case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star
+    and the exponents a*lam - b*n and a_star*lam - b_star/n (the floats of core's
+    exponent_g and exponent_g_star) from the six coefficients, for an epsilon the
+    caller has checked. classify (through regime_labels) and sweep rows share it.
 
     Raises:
         DomainError: a_star*lam underflows to 0, lam**2 overflows, or
@@ -161,16 +164,17 @@ def coefficient_labels(a: float, a_star: float, b: float, b_star: float, lam: fl
     growth, loss = a * lam, b * n
     behavior_g = (_CONSTANT if isclose(growth, loss, rel_tol=epsilon)
                   else _DIVERGES if growth > loss else _DECAYS)
-    growth, loss = a_star * lam, b_star / n
-    behavior_g_star = (_CONSTANT if isclose(growth, loss, rel_tol=epsilon)
-                       else _DIVERGES if growth > loss else _DECAYS)
-    return case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star
+    growth_star, loss_star = a_star * lam, b_star / n
+    behavior_g_star = (_CONSTANT if isclose(growth_star, loss_star, rel_tol=epsilon)
+                       else _DIVERGES if growth_star > loss_star else _DECAYS)
+    return (case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star,
+            growth - loss, growth_star - loss_star)
 
 
 def regime_labels(params: ScenarioParams, epsilon: float) -> _Labels:
-    """coefficient_labels of params, for an epsilon the caller has checked."""
+    """The six labels of coefficient_labels of params, for an epsilon the caller has checked."""
     p = params
-    return coefficient_labels(p.a, p.a_star, p.b, p.b_star, p.lam, p.n, epsilon)
+    return coefficient_labels(p.a, p.a_star, p.b, p.b_star, p.lam, p.n, epsilon)[:6]
 
 
 def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> RegimeReport:

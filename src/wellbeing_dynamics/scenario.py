@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .core import ScenarioParams
 from .dynamics import (DEFAULT_STEP, ExponentialIncome, IncomeModel, LinearIncome,
@@ -166,9 +165,9 @@ def _parse_numerics(block, origin: str) -> NumericsOptions:
 
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario file."""
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise DomainError(f"cannot read scenario file {path}: {exc}") from None
     try:

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -235,6 +236,20 @@ class TestSimulate:
         assert r.returncode == 1
         assert r.stderr == "error: income overflows at t = 0.005 (last good t = 0)\n"
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("p0,t", [
+        (2.0, "0.71"),   # exp(1000 * t) itself overflows
+        (1e10, "0.69"),  # exp(690) is finite; its product with p0 and n is not
+    ])
+    def test_closed_income_overflow_names_t(self, tmp_path, p0, t):
+        # a * lambda = 1, so B and B* stay finite while p and q leave the float range.
+        sc = write_scenario(tmp_path / "s.json", p0=p0, a=1e-3, a_star=1e-3, **{"lambda": 1000.0})
+        out = tmp_path / "x.csv"
+        r = run_cli("simulate", "--scenario", sc, "--t-end", "5", "--mode", "closed",
+                    "--out", str(out))
+        assert r.returncode == 1
+        assert r.stderr == f"error: income overflows at t = {t}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("field,name,t,log_value", [
         ("a", "B", "71.52", "709.836"),            # exponent 10 - 0.05 * 1.5
@@ -743,3 +758,14 @@ class TestArgumentErrors:
         r = run_cli("simulate", "--scenario", scenario, "--t-end", "1",
                     "--out", str(tmp_path / "no_dir" / "x.csv"))
         assert r.returncode == 2
+
+
+def test_startup_imports_no_pathlib_or_resources():
+    # -S keeps site .pth files from preloading either module, so this sees the
+    # package's own imports: the CLI reads files with open() and loads the
+    # bundled data's importlib.resources only on use.
+    code = ("import sys, wellbeing_dynamics.cli; "
+            "print(sorted({'pathlib', 'importlib.resources'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")

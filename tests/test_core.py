@@ -323,6 +323,22 @@ class TestWellbeingRatio:
         for t in (0.0, 1.0, 10.0, 50.0):
             assert wellbeing_ratio(p, t) == 1.0
 
+    def test_overflow_names_t_and_log_value(self):
+        # Rate 0.24 at n = 0.2: ln(B/B*) = 2400 at t = 1e4.
+        p = replace(HIGH, n=0.2)
+        message = r"^B/B_star overflows at t = 10000: ln B/B_star = 2400$"
+        with pytest.raises(OverflowError, match=message):
+            wellbeing_ratio(p, 1e4)
+
+    def test_representable_through_overflowing_product(self):
+        # exp(480) * 1e200 overflows; the ratio exp(480) does not.
+        p = replace(HIGH, n=0.2, B0=1e200, B0_star=1e200)
+        assert math.isclose(wellbeing_ratio(p, 2000.0), math.exp(480.0), rel_tol=1e-12)
+        # A quotient past the float range at t0 that the decay brings back.
+        p = replace(HIGH, B0=1e200, B0_star=1e-200)
+        g = ratio_analysis(p).g_rate
+        assert wellbeing_ratio(p, 9000.0) == math.exp(g * 9000.0) * 1e200 / 1e-200
+
     def test_high_growth_reference_value(self):
         # Rate is exactly -(3/40 - 1/30) = -1/24; over 10 years e^(-5/12).
         oracle = float(mp.e ** (mp.mpf(-5) / 12))

@@ -29,7 +29,7 @@ from wellbeing_dynamics import (
     wellbeing_ratio,
 )
 from wellbeing_dynamics import errors, regime
-from wellbeing_dynamics.regime import regime_labels
+from wellbeing_dynamics.regime import coefficient_labels, regime_labels
 from conftest import draw_case_params, draw_params, uniform
 
 LOW = ScenarioParams(a=1.0, a_star=1.0, b=0.2, b_star=0.2, lam=0.1,
@@ -387,6 +387,9 @@ class TestRegimeLabels:
             r.growth_case, r.boundary_g, r.boundary_g_star,
             r.band, r.behavior_g, r.behavior_g_star,
         )
+        # Sweep rows print these exponents and classify core's: the same bits.
+        exponents = coefficient_labels(p.a, p.a_star, p.b, p.b_star, p.lam, p.n, epsilon)[6:]
+        assert [x.hex() for x in exponents] == [exponent_g(p).hex(), exponent_g_star(p).hex()]
 
     def test_crossover_time_when_level_ratio_underflows(self):
         g = ratio_analysis(HIGH).g_rate
