@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .calibration import fit_growth_rate, read_income_series, scenario_from_data
 # The benchmark's traced run wraps classify, exponent_g, exponent_g_star, ratio_analysis and
 # with_param here by name to count calls: they stay bound though sweep rows call none of them.
 from .core import (ScenarioParams, closed_form_B, closed_form_B_star, exponent_g,
-                   exponent_g_star, ratio_analysis, sign_quadratic)
+                   exponent_g_star, incomes, ratio_analysis, sign_quadratic)
 from .dynamics import integrate, max_relative_deviation, time_grid
 from .errors import DomainError, IntegrationError, QuadratureError, checked
 from .regime import classify, coefficient_labels
@@ -88,7 +87,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         B = [closed_form_B(closed_params, t) for t in times]
         S = [closed_form_B_star(closed_params, t) for t in times]
         if args.mode == "closed":
-            columns = [times, B, S, *zip(*(_incomes(p, q, t) for t in times))]
+            columns = [times, B, S, *zip(*(incomes(p, q, t) for t in times))]
         else:
             columns = [times, B, S, tr.p, tr.q, tr.B, tr.B_star]
     header = "t,B,B_star,p,q" + (",B_ode,B_star_ode" if args.mode == "both" else "")
@@ -98,17 +97,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         deviation = max_relative_deviation(tr.B, B, tr.B_star, S)
         print(f"max_relative_deviation: {deviation:.12g}")
     return 0
-
-
-def _incomes(p, q, t: float) -> tuple[float, float]:
-    """(p(t), q(t)); an OverflowError naming t when either leaves the float range."""
-    try:
-        pair = p.value(t), q.value(t)
-    except OverflowError:
-        pair = (math.inf,)
-    if math.inf in pair:
-        raise OverflowError(f"income overflows at t = {t:.12g}")
-    return pair
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -12,14 +12,11 @@ which group eventually dominates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, check_fields, checked, squared
 from .numerics import adaptive_simpson
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dynamics import IncomeModel
 
 
 @dataclass(frozen=True)
@@ -102,33 +99,46 @@ def exponent_g_star(params: ScenarioParams) -> float:
     return params.a_star * params.lam - params.b_star / params.n
 
 
-def _grown(params: ScenarioParams, t, name: str, level: float, rate: float,
-           per: float = 1.0) -> float:
-    """exp(rate * (t - t0)) * level / per, taken from its log when a partial product
-    overflows; past the float range, an OverflowError naming t and the log."""
-    dt = _elapsed(params, t)
+_NORMAL = sys.float_info.min  # the smallest normal float
+INCOME_OVERFLOW = "income overflows at t = %.12g"  # for any income past the float range
+
+
+def grown(level: float, log_growth: float, name: str, t, per: float = 1.0) -> float:
+    """exp(log_growth) * level / per: that product when exp(log_growth) and it are normal
+    floats, else exp(ln level - ln per + log_growth), 0.0 below the float range. Past it,
+    an OverflowError naming name, t and the log value."""
+    if log_growth < 709.78:  # exp stays below the largest float
+        factor = math.exp(log_growth)
+        value = factor * level / per
+        if factor >= _NORMAL and _NORMAL <= value < math.inf:
+            return value
+    log_value = math.log(level) - math.log(per) + log_growth
     try:
-        value = math.exp(rate * dt) * level / per
+        return math.exp(log_value)
     except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        log_value = math.log(level) - math.log(per) + rate * dt
-        try:
-            return math.exp(log_value)
-        except OverflowError:
-            raise OverflowError(
-                f"{name} overflows at t = {float(t):.12g}: ln {name} = {log_value:.12g}") from None
-    return value
+        raise OverflowError(
+            f"{name} overflows at t = {float(t):.12g}: ln {name} = {log_value:.12g}") from None
+
+
+def incomes(p: "IncomeModel", q: "IncomeModel", t: float) -> tuple[float, float]:
+    """(p(t), q(t)); an OverflowError with INCOME_OVERFLOW when either leaves the float range."""
+    try:
+        pair = p.value(t), q.value(t)
+    except OverflowError:
+        pair = (math.inf,)
+    if math.inf in pair:
+        raise OverflowError(INCOME_OVERFLOW % t)
+    return pair
 
 
 def closed_form_B(params: ScenarioParams, t) -> float:
     """Well-being of G at time t >= t0 under the exponential income pair."""
-    return _grown(params, t, "B", params.B0, exponent_g(params))
+    return grown(params.B0, exponent_g(params) * _elapsed(params, t), "B", t)
 
 
 def closed_form_B_star(params: ScenarioParams, t) -> float:
     """Well-being of G* at time t >= t0 under the exponential income pair."""
-    return _grown(params, t, "B_star", params.B0_star, exponent_g_star(params))
+    return grown(params.B0_star, exponent_g_star(params) * _elapsed(params, t), "B_star", t)
 
 
 def general_wellbeing(
@@ -143,10 +153,10 @@ def general_wellbeing(
 ) -> float:
     """Well-being at time t for arbitrary positive income paths.
 
-    Evaluates B0 * (p(t)/p(t0))**a * exp(-b * I), where I is the
-    integral of q(s)/p(s) over [t0, t] computed by adaptive quadrature.
-    Swapping the roles (p and q exchanged, starred sensitivities)
-    yields the favored group's value.
+    Evaluates B0 * exp(a * (ln p(t) - ln p(t0)) - b * I) through grown,
+    where I is the integral of q(s)/p(s) over [t0, t] computed by
+    adaptive quadrature. Swapping the roles (p and q exchanged, starred
+    sensitivities) yields the favored group's value.
 
     Args:
         p: own-group income model.
@@ -161,6 +171,9 @@ def general_wellbeing(
     Raises:
         DomainError: t < t0, negative sensitivities, non-positive B0, or
             a non-positive income wherever the integrand is evaluated.
+        OverflowError: "income overflows at t = ..." when p or q leaves
+            the float range at an evaluated time, or "B overflows at
+            t = ...: ln B = ..." when the result itself does.
     """
     a = checked(a, "a", at_least=0.0)
     b = checked(b, "b", at_least=0.0)
@@ -171,18 +184,16 @@ def general_wellbeing(
         raise DomainError(f"t must be >= t0 = {t0}, got {t}")
 
     def gap_ratio(s: float) -> float:
-        ps = p.value(s)
-        qs = q.value(s)
+        ps, qs = incomes(p, q, s)
         if ps <= 0.0 or qs <= 0.0:
             raise DomainError(f"non-positive income at t = {s}")
         return qs / ps
 
-    p_start = p.value(t0)
-    p_end = p.value(t)
+    p_start, p_end = incomes(p, q, t0)[0], incomes(p, q, t)[0]
     if p_start <= 0.0 or p_end <= 0.0:
         raise DomainError("income p must be positive at the window endpoints")
     integral, _ = adaptive_simpson(gap_ratio, t0, t, tol=quad_tol)
-    return B0 * (p_end / p_start) ** a * math.exp(-b * integral)
+    return grown(B0, a * (math.log(p_end) - math.log(p_start)) - b * integral, "B", t)
 
 
 def sign_quadratic(a: float, a_star: float, b: float, b_star: float, lam: float,
@@ -218,4 +229,4 @@ def ratio_analysis(params: ScenarioParams) -> RatioAnalysis:
 def wellbeing_ratio(params: ScenarioParams, t) -> float:
     """Ratio B(t)/B*(t) from the exact rate, without forming B and B*."""
     g_rate = ratio_analysis(params).g_rate
-    return _grown(params, t, "B/B_star", params.B0, g_rate, params.B0_star)
+    return grown(params.B0, g_rate * _elapsed(params, t), "B/B_star", t, params.B0_star)

@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Union
 
-from .core import ScenarioParams, closed_form_B, closed_form_B_star
+from .core import INCOME_OVERFLOW, ScenarioParams, closed_form_B, closed_form_B_star
 from .errors import DomainError, IntegrationError, check_fields, checked, checked_points
 
 DEFAULT_STEP = 0.01
@@ -138,7 +137,7 @@ class TabulatedIncome:
         return TabulatedIncome(tuple((t, n * v) for t, v in self.points))
 
 
-IncomeModel = Union[ExponentialIncome, LinearIncome, TabulatedIncome]
+IncomeModel = ExponentialIncome | LinearIncome | TabulatedIncome
 
 
 @dataclass(frozen=True)
@@ -253,10 +252,13 @@ def integrate(
             return (a * p.derivative(t) / pv - b * qv / pv,
                     a_s * q.derivative(t) / qv - b_s * pv / qv, pv, qv)
         except OverflowError:
-            raise failure(f"income overflows at t = {t}") from None
+            raise failure(INCOME_OVERFLOW % t) from None
 
     def record(t: float, B: float, S: float, sample) -> None:
         if B <= 0.0 or S <= 0.0 or not (math.isfinite(B) and math.isfinite(S)):
+            # An income or its derivative can reach inf without an OverflowError.
+            if not all(map(math.isfinite, sample)):
+                raise failure(INCOME_OVERFLOW % t)
             raise failure(f"state left the positive domain at t = {t}")
         times.append(t)
         cols_B.append(B)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .errors import DomainError, QuadratureError, checked
 
 

@@ -155,18 +155,17 @@ def coefficient_labels(a: float, a_star: float, b: float, b_star: float, lam: fl
     except ZeroDivisionError:
         raise _underflow("a_star * lam", a_star, lam) from None
     case = _growth_case(a, a_star, b, b_star, lam, epsilon)
-    if isclose(n, boundary_g, rel_tol=epsilon) or isclose(n, boundary_g_star, rel_tol=epsilon):
-        band = _BOUNDARY
-    elif n < boundary_g and n < boundary_g_star:
-        band = _LOW
-    else:
-        band = _HIGH if n > boundary_g and n > boundary_g_star else _MEDIUM
     growth, loss = a * lam, b * n
     behavior_g = (_CONSTANT if isclose(growth, loss, rel_tol=epsilon)
                   else _DIVERGES if growth > loss else _DECAYS)
     growth_star, loss_star = a_star * lam, b_star / n
     behavior_g_star = (_CONSTANT if isclose(growth_star, loss_star, rel_tol=epsilon)
                        else _DIVERGES if growth_star > loss_star else _DECAYS)
+    # n < boundary_g exactly when G diverges, n > boundary_g_star exactly when G* does:
+    # the band is read off the behaviors, so it always agrees with them.
+    band = (_BOUNDARY if behavior_g is _CONSTANT or behavior_g_star is _CONSTANT
+            else _MEDIUM if behavior_g is behavior_g_star
+            else _LOW if behavior_g is _DIVERGES else _HIGH)
     return (case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star,
             growth - loss, growth_star - loss_star)
 
@@ -180,10 +179,10 @@ def regime_labels(params: ScenarioParams, epsilon: float) -> _Labels:
 def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> RegimeReport:
     """Classify a scenario's long-run behavior.
 
-    Behaviors come from the exponent signs alone; the band places n
-    among the ordered boundaries, with exact hits (within epsilon)
-    reported as Boundary. Dominance compares n against n_hat under the
-    equal-start convention.
+    Behaviors come from the exponent signs alone, Constant within
+    epsilon; the band places n among the ordered boundaries through
+    them, with a Constant behavior reported as Boundary. Dominance
+    compares n against n_hat under the equal-start convention.
     """
     epsilon = _checked_epsilon(epsilon)
     case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star = regime_labels(

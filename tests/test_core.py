@@ -187,6 +187,14 @@ class TestClosedForms:
             closed_form_B_star(p, 300.0)
         assert closed_form_B_star(p, 10.0) == 1e300 * math.exp(exponent_g_star(p) * 10.0)
 
+    @pytest.mark.parametrize("t", [15000.0, 14800.0])
+    def test_from_logarithm_when_exponential_underflows(self, t):
+        # exp(-0.05 * t) is 0.0 at t = 15000 and subnormal at t = 14800, while
+        # B = 1e300 * exp(-0.05 * t) is a normal float at both.
+        p = replace(HIGH, B0=1e300, n=3.0)
+        oracle = mp.exp(mp.log(mp.mpf(1e300)) + mp.mpf(exponent_g(p)) * mp.mpf(t))
+        assert math.isclose(closed_form_B(p, t), float(oracle), rel_tol=1e-12)
+
     @given(st.floats(min_value=0.0, max_value=50.0))
     @settings(deadline=None)
     def test_strictly_positive(self, dt):
@@ -245,6 +253,22 @@ class TestGeneralWellbeing:
         q = LinearIncome(p0=1.0, slope=-0.25)  # crosses zero at t = 4
         with pytest.raises(DomainError):
             general_wellbeing(p, q, a=1.0, b=0.1, B0=1.0, t0=0.0, t=5.0)
+
+    def test_beyond_float_range_of_the_income_ratio(self):
+        # (p(800)/p(0))**10 = e^800 overflows; B = e^(800 - 0.5 * 1.5 * 800) does not.
+        p = ExponentialIncome(p0=1.0, rate=0.1)
+        got = general_wellbeing(p, p.scaled(1.5), a=10.0, b=0.5, B0=1.0, t0=0.0, t=800.0)
+        assert math.isclose(got, math.exp(200.0), rel_tol=1e-12)
+
+    def test_overflow_names_t_and_log_value(self):
+        p = ExponentialIncome(p0=1.0, rate=0.1)
+        with pytest.raises(OverflowError, match=r"^B overflows at t = 800: ln B = 792$"):
+            general_wellbeing(p, p.scaled(0.2), a=10.0, b=0.05, B0=1.0, t0=0.0, t=800.0)
+
+    def test_income_overflow_names_t(self):
+        p = ExponentialIncome(p0=1.0, rate=1.0)
+        with pytest.raises(OverflowError, match=r"^income overflows at t = 800$"):
+            general_wellbeing(p, p.scaled(1.5), a=10.0, b=0.5, B0=1.0, t0=0.0, t=800.0)
 
     def test_scale_invariance_of_income_units(self):
         rng = random.Random(7)
@@ -338,6 +362,13 @@ class TestWellbeingRatio:
         p = replace(HIGH, B0=1e200, B0_star=1e-200)
         g = ratio_analysis(p).g_rate
         assert wellbeing_ratio(p, 9000.0) == math.exp(g * 9000.0) * 1e200 / 1e-200
+
+    def test_from_logarithm_when_exponential_underflows(self):
+        # exp(g * 17900) = e^-745.8 underflows; B0/B0_star = 1e400 brings the ratio back.
+        p = replace(HIGH, B0=1e200, B0_star=1e-200)
+        g = ratio_analysis(p).g_rate
+        oracle = mp.exp(mp.log(mp.mpf(1e200)) - mp.log(mp.mpf(1e-200)) + mp.mpf(g) * 17900)
+        assert math.isclose(wellbeing_ratio(p, 17900.0), float(oracle), rel_tol=1e-12)
 
     def test_high_growth_reference_value(self):
         # Rate is exactly -(3/40 - 1/30) = -1/24; over 10 years e^(-5/12).

@@ -26,6 +26,7 @@ from wellbeing_dynamics import (
     closed_form_B,
     closed_form_B_star,
     cross_validate,
+    general_wellbeing,
     integrate,
     time_grid,
 )
@@ -598,6 +599,31 @@ class TestAdaptiveIntegrate:
             _run_rkf45(rough, HIGH, 1.0, 0.01, 1e-8, lambda t, B, S, sample: None)
         assert exc_info.value.last_time == HIGH.t0
         assert exc_info.value.last_state == (HIGH.B0, HIGH.B0_star)
+
+
+class TestTheoremBeyondExponentialIncome:
+    # The paper's claim for any pair with q/p >= n and p'/p <= lam at all times: when
+    # b*n > a*lam, dB/dt = (a*p'/p - b*q/p)*B <= (a*lam - b*n)*B < 0. Here p = p0*(1 + lam*t)
+    # and q/p = n*(1.5 + lam*t)/(1 + lam*t), which falls from 1.5*n towards n.
+    LAM, N, A, B = 0.1, 2.0, 1.0, 1.0
+    P = LinearIncome(p0=2.0, slope=2.0 * LAM)
+    Q = LinearIncome(p0=1.5 * N * 2.0, slope=N * 2.0 * LAM)
+
+    def test_rkf45_well_being_never_rises(self):
+        params = ScenarioParams(a=self.A, a_star=0.01, b=self.B, b_star=0.01, lam=self.LAM,
+                                n=self.N, B0=1e300, B0_star=1.0, p0=2.0)
+        B = integrate(self.P, self.Q, params, 100.0, method="rkf45").B
+        assert all(later <= earlier for earlier, later in zip(B, B[1:]))
+        assert B[-1] < 1e205
+
+    def test_general_wellbeing_never_rises(self):
+        # From B0 = 1e300, ln B is about -142 at t = 400 and -727 at t = 690 (subnormal), below
+        # the float range after. exp(-b * I) alone underflows past t = 355.
+        times = (0.0, 10.0, 100.0, 200.0, 400.0, 600.0, 680.0, 690.0, 700.0, 1000.0)
+        B = [general_wellbeing(self.P, self.Q, self.A, self.B, 1e300, 0.0, t) for t in times]
+        assert all(later <= earlier for earlier, later in zip(B, B[1:]))
+        assert B[times.index(690.0)] > 0.0
+        assert B[-1] == 0.0
 
 
 class TestQuadrature:

@@ -391,6 +391,19 @@ class TestRegimeLabels:
         exponents = coefficient_labels(p.a, p.a_star, p.b, p.b_star, p.lam, p.n, epsilon)[6:]
         assert [x.hex() for x in exponents] == [exponent_g(p).hex(), exponent_g_star(p).hex()]
 
+    @given(labelled_params(), st.floats(0.0, 4.0) | st.just(1.0), st.integers(-4, 4))
+    @settings(max_examples=300)
+    def test_high_band_always_decays(self, drawn, k, ulps):
+        # The paper's theorem: n above both boundaries means G's well-being decays. n sits
+        # k tolerances past the larger boundary, then ulps floats either way: k = 1 puts it
+        # on the edge of the Boundary band, where two roundings of one comparison can part.
+        p, epsilon = drawn
+        n = max(p.a * p.lam / p.b, p.b_star / (p.a_star * p.lam)) * (1.0 + k * epsilon)
+        for _ in range(abs(ulps)):
+            n = math.nextafter(n, math.copysign(math.inf, ulps))
+        r = classify(replace(p, n=n), epsilon)
+        assert r.band is not Band.HIGH or r.behavior_g is Behavior.DECAYS
+
     def test_crossover_time_when_level_ratio_underflows(self):
         g = ratio_analysis(HIGH).g_rate
         for B0, B0_star in ((1e-200, 1e200), (1e200, 1e-200)):
