@@ -10,7 +10,6 @@ microdata. Chilean reference figures ship with the package.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -167,16 +166,13 @@ def scenario_from_data(
     )
 
 
-_SERIES_SPLIT = re.compile(r"[,\s]+")
-
-
 def _parse_series_text(text: str, origin: str) -> IncomeSeries:
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [token for token in _SERIES_SPLIT.split(line) if token]
+        parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise DomainError(
                 f"{origin}, line {lineno}: expected two columns (year, value), got {len(parts)}"

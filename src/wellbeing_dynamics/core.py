@@ -172,8 +172,9 @@ def general_wellbeing(
         DomainError: t < t0, negative sensitivities, non-positive B0, or
             a non-positive income wherever the integrand is evaluated.
         OverflowError: "income overflows at t = ..." when p or q leaves
-            the float range at an evaluated time, or "B overflows at
-            t = ...: ln B = ..." when the result itself does.
+            the float range at an evaluated time, "income gap q/p
+            overflows at t = ..." when their ratio does, or "B overflows
+            at t = ...: ln B = ..." when the result itself does.
     """
     a = checked(a, "a", at_least=0.0)
     b = checked(b, "b", at_least=0.0)
@@ -187,7 +188,10 @@ def general_wellbeing(
         ps, qs = incomes(p, q, s)
         if ps <= 0.0 or qs <= 0.0:
             raise DomainError(f"non-positive income at t = {s}")
-        return qs / ps
+        ratio = qs / ps
+        if ratio == math.inf:
+            raise OverflowError(f"income gap q/p overflows at t = {s:.12g}")
+        return ratio
 
     p_start, p_end = incomes(p, q, t0)[0], incomes(p, q, t)[0]
     if p_start <= 0.0 or p_end <= 0.0:

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import INCOME_OVERFLOW, ScenarioParams, closed_form_B, closed_form_B_star
+from .core import _NORMAL, INCOME_OVERFLOW, ScenarioParams, closed_form_B, closed_form_B_star
 from .errors import DomainError, IntegrationError, check_fields, checked, checked_points
 
 DEFAULT_STEP = 0.01
@@ -101,9 +101,10 @@ class TabulatedIncome:
         for i in range(1, len(pts) - 1):
             slopes.append((values[i + 1] - values[i - 1]) / (times[i + 1] - times[i - 1]))
         slopes.append((values[-1] - values[-2]) / (times[-1] - times[-2]))
-        object.__setattr__(self, "_times", times)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_slopes", slopes)
+        # _ratios: each segment's values[i + 1] / values[i], None where not a normal float.
+        ratios = [v1 / v0 for v0, v1 in zip(values, values[1:])]
+        vars(self).update(_times=times, _values=values, _slopes=slopes,
+                          _ratios=[r if _NORMAL <= r < math.inf else None for r in ratios])
 
     def _locate(self, t: float) -> tuple[int, float | None]:
         """(i, None) when t is node i, else (i, w) with t in segment i at weight w."""
@@ -123,7 +124,10 @@ class TabulatedIncome:
         values = self._values
         if w is None:
             return values[i]
-        return values[i] * (values[i + 1] / values[i]) ** w
+        ratio = self._ratios[i]
+        if ratio is None:  # interpolate the logarithms instead, which stay in range
+            return math.exp((1.0 - w) * math.log(values[i]) + w * math.log(values[i + 1]))
+        return values[i] * ratio ** w
 
     def derivative(self, t: float) -> float:
         i, w = self._locate(t)

@@ -72,7 +72,6 @@ def check_fields(obj, bounds: dict) -> None:
     """Store each frozen-dataclass field named in bounds as checked(value, name, bound),
     with -0.0 stored as 0.0 so that a field prints the same wherever it goes."""
     for name, bound in bounds.items():
-        # Positional: CPython calls it faster than by keyword, and sweeps check ten per row.
         object.__setattr__(obj, name, checked(getattr(obj, name), name, bound) + 0.0)
 
 

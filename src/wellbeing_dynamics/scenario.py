@@ -9,7 +9,7 @@ naming the key, so a typo in a parameter name can never pass silently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import ScenarioParams
 from .dynamics import (DEFAULT_STEP, ExponentialIncome, IncomeModel, LinearIncome,
@@ -178,16 +178,11 @@ def load_scenario(path) -> Scenario:
 
 
 def with_param(params: ScenarioParams, name: str, value: float) -> ScenarioParams:
-    """Copy params with one file-keyed parameter replaced. Only that field is
-    checked, and stored as check_fields stores it; the others were checked
-    when the frozen params was built."""
+    """Copy params with one file-keyed parameter replaced and checked."""
     field = PARAM_KEYS.get(name)
     if field is None:
         raise DomainError(f"unknown parameter name {name!r}")
-    value = checked(value, field, ScenarioParams._bounds[field]) + 0.0
-    copy = object.__new__(ScenarioParams)
-    copy.__dict__.update(params.__dict__, **{field: value})
-    return copy
+    return replace(params, **{field: value})
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,45 @@
-"""Shared helpers: deterministic random parameter draws."""
+"""Shared helpers: random parameter draws, the base scenario file, the `wbdyn` runner."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
-from wellbeing_dynamics import ScenarioParams
+from wellbeing_dynamics import ScenarioParams, cli
+
+SRC = str(Path(cli.__file__).parents[1])  # the package's directory, for child interpreters
+
+BASE = {"a": 1.0, "a_star": 1.0, "b": 0.05, "b_star": 0.05, "lambda": 0.1, "n": 1.5,
+        "B0": 1.0, "B0_star": 1.0, "p0": 2.0, "t0": 0.0}
+
+
+def write_scenario(path, **overrides):
+    path.write_text(json.dumps(dict(BASE, **overrides)))
+    return str(path)
+
+
+def run_cli(*args, process=False):
+    """`wbdyn *args` as a CompletedProcess: cli.main in-process, with stdout and stderr
+    captured and argparse's SystemExit as the exit code; or, with process=True, a
+    `python -m wellbeing_dynamics` child, for tests of the process boundary."""
+    if process:
+        return subprocess.run([sys.executable, "-m", "wellbeing_dynamics", *args],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
 
 
 def uniform(rng: random.Random, lo: float, hi: float) -> float:

@@ -7,11 +7,8 @@ much.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-import subprocess
-import sys
 import time
 from dataclasses import replace
 
@@ -39,7 +36,7 @@ from wellbeing_dynamics import (
     ratio_analysis,
     verify_nhat_bracketing,
 )
-from conftest import draw_case_params, draw_params, uniform
+from conftest import draw_case_params, draw_params, run_cli, uniform, write_scenario
 
 EXPECTED_BEHAVIOR = {
     GrowthCase.LOW: {
@@ -246,38 +243,25 @@ def test_criterion_8_growth_calibration():
           f"(within 1e-4 of 0.072256); synthetic round-trips within {worst:.3e}")
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "wellbeing_dynamics", *args],
-        capture_output=True, text=True,
-    )
-
-
 def test_criterion_9_cli_determinism_and_failure_mapping(tmp_path):
-    doc = {"a": 1.0, "a_star": 1.0, "b": 0.05, "b_star": 0.05,
-           "lambda": 0.1, "n": 1.5, "B0": 1.0, "B0_star": 1.0,
-           "p0": 2.0, "t0": 0.0}
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(doc))
-
-    first = run_cli("classify", "--scenario", str(scenario))
-    second = run_cli("classify", "--scenario", str(scenario))
+    # The first run is in-process, the repeat in a child: two processes, two hash seeds.
+    scenario = write_scenario(tmp_path / "scenario.json")
+    first = run_cli("classify", "--scenario", scenario)
+    second = run_cli("classify", "--scenario", scenario, process=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout != ""
 
     tables = []
-    for name in ("one.csv", "two.csv"):
+    for name, process in (("one.csv", False), ("two.csv", True)):
         out = tmp_path / name
-        r = run_cli("simulate", "--scenario", str(scenario), "--t-end", "10",
-                    "--mode", "both", "--out", str(out))
+        r = run_cli("simulate", "--scenario", scenario, "--t-end", "10",
+                    "--mode", "both", "--out", str(out), process=process)
         assert r.returncode == 0
         tables.append((r.stdout, out.read_bytes()))
     assert tables[0] == tables[1]
 
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**doc, "surprise": 1.0}))
-    r = run_cli("classify", "--scenario", str(bad))
+    r = run_cli("classify", "--scenario", write_scenario(tmp_path / "bad.json", surprise=1.0))
     assert r.returncode == 2
     assert "surprise" in r.stderr
     assert r.stdout == ""

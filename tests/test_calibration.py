@@ -118,6 +118,11 @@ class TestInequalityRecords:
         with pytest.raises(DomainError):
             InequalityRecord(Indicator.GINI, 1990, 0.0)
 
+    def test_indicator_must_be_an_indicator(self):
+        with pytest.raises(DomainError) as exc_info:
+            InequalityRecord("Gini", 1990, 0.5)
+        assert str(exc_info.value) == "indicator must be an Indicator, got 'Gini'"
+
     def test_ratio_at_least_one(self):
         with pytest.raises(DomainError):
             InequalityRecord(Indicator.Q5Q1, 1990, 0.8)

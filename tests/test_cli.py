@@ -1,9 +1,11 @@
-"""End-to-end command-line behavior via subprocess."""
+"""End-to-end command-line behavior, in-process through conftest.run_cli.
+
+Only the start-up import test below starts an interpreter here; test_golden
+replays one case per subcommand and exit code through `python -m`.
+"""
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import math
 import os
@@ -18,35 +20,25 @@ from hypothesis import strategies as st
 
 from wellbeing_dynamics import ScenarioParams, cli, core, regime
 from wellbeing_dynamics.errors import DomainError
-from wellbeing_dynamics.scenario import PARAM_KEYS, SWEEPABLE, parse_sweep, with_param
-
-BASE = {
-    "a": 1.0, "a_star": 1.0, "b": 0.05, "b_star": 0.05,
-    "lambda": 0.1, "n": 1.5, "B0": 1.0, "B0_star": 1.0,
-    "p0": 2.0, "t0": 0.0,
-}
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "wellbeing_dynamics", *args],
-        capture_output=True, text=True,
-    )
-
-
-def write_scenario(path, **overrides):
-    d = dict(BASE)
-    d.update(overrides)
-    path.write_text(json.dumps(d))
-    return str(path)
+from wellbeing_dynamics.scenario import (PARAM_KEYS, SWEEPABLE, parse_scenario, parse_sweep,
+                                         with_param)
+from conftest import BASE, SRC, run_cli, write_scenario
 
 
 def parse_report(stdout):
-    out = {}
-    for line in stdout.splitlines():
-        key, _, value = line.partition(":")
-        out[key.strip()] = value.strip()
-    return out
+    return {key.strip(): value.strip()
+            for key, _, value in (line.partition(":") for line in stdout.splitlines())}
+
+
+def count_calls(monkeypatch, owners, attr):
+    """The list that each call of attr, on any of the owner modules, appends its arguments to."""
+    calls = []
+    for owner in owners:
+        def call(*args, wrapped=getattr(owner, attr), **kwargs):
+            calls.append(args)
+            return wrapped(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, call)
+    return calls
 
 
 @pytest.fixture
@@ -98,11 +90,8 @@ class TestClassify:
         assert rep["dominance"] == "G"
 
     def test_unknown_key_exits_2(self, tmp_path):
-        d = dict(BASE)
-        del d["lambda"]
-        d["lamda"] = 0.1
-        f = tmp_path / "bad.json"
-        f.write_text(json.dumps(d))
+        f = tmp_path / "bad.json"  # BASE with the key lambda misspelt
+        f.write_text(json.dumps({("lamda" if k == "lambda" else k): v for k, v in BASE.items()}))
         r = run_cli("classify", "--scenario", str(f))
         assert r.returncode == 2
         assert "lamda" in r.stderr
@@ -252,14 +241,14 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["ode", "both"])
-    def test_ode_income_overflow_not_blamed_on_state(self, tmp_path, capsys, mode):
+    def test_ode_income_overflow_not_blamed_on_state(self, tmp_path, mode):
         # p' = 1000 * p is inf at t = 0.68 without an OverflowError, one step before p
-        # itself (closed mode above names t = 0.69). In-process, as test_golden runs main.
+        # itself (closed mode above names t = 0.69).
         sc = write_scenario(tmp_path / "s.json", p0=1e10, a=1e-3, a_star=1e-3, **{"lambda": 1000.0})
-        code = cli.main(["simulate", "--scenario", sc, "--t-end", "5", "--mode", mode,
-                         "--out", str(tmp_path / "x.csv")])
+        r = run_cli("simulate", "--scenario", sc, "--t-end", "5", "--mode", mode,
+                    "--out", str(tmp_path / "x.csv"))
         err = "error: income overflows at t = 0.68 (last good t = 0.67)\n"
-        assert (code, capsys.readouterr().err) == (1, err)
+        assert (r.returncode, r.stderr) == (1, err)
 
     @pytest.mark.parametrize("field,name,t,log_value", [
         ("a", "B", "71.52", "709.836"),            # exponent 10 - 0.05 * 1.5
@@ -282,15 +271,7 @@ class TestSimulate:
         # counts into the same list, and both paths of --mode both share one grid.
         from wellbeing_dynamics import dynamics
 
-        calls = []
-        time_grid = dynamics.time_grid
-
-        def counting(t0, t_end, step):
-            calls.append((t0, t_end, step))
-            return time_grid(t0, t_end, step)
-
-        monkeypatch.setattr(dynamics, "time_grid", counting)
-        monkeypatch.setattr(cli, "time_grid", counting)
+        calls = count_calls(monkeypatch, (dynamics, cli), "time_grid")
         out = tmp_path / "traj.csv"
         assert cli.main(["simulate", "--scenario", scenario, "--t-end", "3",
                          "--mode", mode, "--out", str(out)]) == 0
@@ -387,42 +368,21 @@ class TestSweep:
 
     def test_no_ratio_analysis_or_with_param_per_row(self, scenario, tmp_path, monkeypatch):
         # A deterministic work counter, not a timing: every module's binding
-        # of ratio_analysis and with_param counts into the same list.
+        # of ratio_analysis, and of with_param, counts into one list.
         from wellbeing_dynamics import scenario as scenario_module
 
-        calls = []
-
-        def count_calls(owner, attr):
-            wrapped = getattr(owner, attr)
-
-            def call(*args):
-                calls.append(attr)
-                return wrapped(*args)
-
-            monkeypatch.setattr(owner, attr, call)
-
-        for owner in (cli, regime):
-            count_calls(owner, "ratio_analysis")
-        for owner in (cli, scenario_module):
-            count_calls(owner, "with_param")
+        calls = (count_calls(monkeypatch, (cli, regime), "ratio_analysis"),
+                 count_calls(monkeypatch, (cli, scenario_module), "with_param"))
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--scenario", scenario, "--vary", "n=-0.2:10:0.1",
                          "--out", str(out)]) == 0
         lines = out.read_text().splitlines()[1:]
         assert len([line for line in lines if not line.startswith("#")]) == 100
-        assert calls == []
+        assert calls == ([], [])
 
     def test_no_classify_per_row(self, scenario, tmp_path, monkeypatch):
         # Rows take their labels from regime_labels; no RegimeReport is built.
-        calls = []
-        classify = regime.classify
-
-        def counting(params, epsilon=regime.DEFAULT_EPSILON):
-            calls.append(params)
-            return classify(params, epsilon)
-
-        monkeypatch.setattr(regime, "classify", counting)
-        monkeypatch.setattr(cli, "classify", counting)
+        calls = count_calls(monkeypatch, (regime, cli), "classify")
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--scenario", scenario, "--vary", "n=0.1:10:0.1",
                          "--out", str(out)]) == 0
@@ -459,28 +419,6 @@ def _oracle_labels(p, eps):
     return case, band, g, g_star
 
 
-def _oracle_table(params, vary, eps):
-    """The sweep table of the per-row classify loop and its f-string rows."""
-    spec = parse_sweep(vary)
-    rows = ["value,exponent_g,exponent_g_star,f_value,band,behavior_g,behavior_g_star,growth_case"]
-    skipped = []
-    for value in spec.grid():
-        try:
-            p = with_param(params, spec.name, value)
-        except DomainError as exc:
-            skipped.append((value, str(exc)))
-            continue
-        case, band, g, g_star = _oracle_labels(p, eps)
-        f_value = core.ratio_analysis(p).f_value
-        rows.append(
-            f"{value:.12g},{core.exponent_g(p):.12g},{core.exponent_g_star(p):.12g},"
-            f"{f_value:.12g},{band},{g},{g_star},{case}"
-        )
-    for value, reason in skipped:
-        rows.append(f"# skipped {spec.name}={value:.12g}: {reason}")
-    return "\n".join(rows) + "\n"
-
-
 def _breakpoints(name, p):
     """Values of the swept parameter where n meets boundary_g or
     boundary_g_star, lam**2 meets b*b_star/(a*a_star), or n meets n_hat."""
@@ -495,12 +433,13 @@ def _breakpoints(name, p):
     }[name]
 
 
-coefficient = st.floats(min_value=1e-2, max_value=10.0)
-sweep_params = st.builds(
-    ScenarioParams, a=coefficient, a_star=coefficient, b=coefficient,
-    b_star=coefficient, lam=coefficient, n=coefficient,
-    B0=st.just(1.0), B0_star=st.just(2.0), p0=st.just(1.0), t0=st.just(0.0),
-)
+def coefficient_params(x):
+    """ScenarioParams with the six coefficients drawn from x and fixed levels."""
+    return st.builds(ScenarioParams, a=x, a_star=x, b=x, b_star=x, lam=x, n=x, B0=st.just(1.0),
+                     B0_star=st.just(2.0), p0=st.just(1.0), t0=st.just(0.0))
+
+
+sweep_params = coefficient_params(st.floats(min_value=1e-2, max_value=10.0))
 tolerance = st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 9.9), st.integers(-12, -2))
 
 
@@ -515,18 +454,20 @@ class TestSweepRowsMatchClassify:
         centre = points[which % len(points)] * (1.0 + jitter * eps)
         half = width * eps * centre
         vary = f"{name}={centre - half!r}:{centre + half!r}:{half / 6.0!r}"
-        doc = {key: getattr(params, field) for key, field in PARAM_KEYS.items()}
-        with tempfile.TemporaryDirectory() as tmp:
-            path, out = Path(tmp, "s.json"), Path(tmp, "out.csv")
-            path.write_text(json.dumps(doc))
-            assert cli.main(["sweep", "--scenario", str(path), "--vary", vary,
-                             "--tolerance", repr(eps), "--out", str(out)]) == 0
-            assert out.read_text() == _oracle_table(params, vary, eps)
+        code, _, table = _run_sweep(params, vary, eps)
+        assert code == 0
+        assert table == _reference_sweep(params, vary, eps, _oracle_labels)[2]
 
 
-def _reference_sweep(params, vary, eps):
+def _regime_labels(p, eps):
+    """Growth case, band and behaviors from regime.regime_labels, as strings."""
+    case, _, _, band, g, g_star = regime.regime_labels(p, eps)
+    return case.value, band.value, g.value, g_star.value
+
+
+def _reference_sweep(params, vary, eps, labels=_regime_labels):
     """(exit code, stderr, table or None) of the per-row chain sweep rows
-    ran before they became one pass on floats: with_param, regime_labels,
+    ran before they became one pass on floats: with_param, labels,
     ratio_analysis and the exponents, all on a ScenarioParams per row."""
     spec = parse_sweep(vary)
     rows = ["value,exponent_g,exponent_g_star,f_value,band,behavior_g,behavior_g_star,growth_case"]
@@ -539,43 +480,37 @@ def _reference_sweep(params, vary, eps):
             skipped.append((value, str(exc)))
             continue
         try:
-            case, _, _, band, g, g_star = regime.regime_labels(p, eps)
+            case, band, g, g_star = labels(p, eps)
             f_value = core.ratio_analysis(p).f_value
         except DomainError as exc:
             return 2, "".join(stderr) + f"error: {exc}\n", None
         rows.append(
             f"{value:.12g},{core.exponent_g(p):.12g},{core.exponent_g_star(p):.12g},"
-            f"{f_value:.12g},{band.value},{g.value},{g_star.value},{case.value}"
+            f"{f_value:.12g},{band},{g},{g_star},{case}"
         )
     rows += [f"# skipped {spec.name}={value:.12g}: {reason}" for value, reason in skipped]
     return 0, "".join(stderr), "\n".join(rows) + "\n"
 
 
 def _run_sweep(params, vary, eps):
-    """(exit code, stderr, table or None) of wbdyn sweep, run in-process."""
+    """(exit code, stderr, table or None) of wbdyn sweep on params. A directory
+    per call: Hypothesis examples cannot share the function-scoped tmp_path."""
     doc = {key: getattr(params, field) for key, field in PARAM_KEYS.items()}
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp, "s.json"), Path(tmp, "out.csv")
-        path.write_text(json.dumps(doc))
-        with contextlib.redirect_stderr(io.StringIO()) as stderr:
-            code = cli.main(["sweep", "--scenario", str(path), "--vary", vary,
-                             "--tolerance", repr(eps), "--out", str(out)])
-        return code, stderr.getvalue(), out.read_text() if out.exists() else None
+        out = Path(tmp, "out.csv")
+        r = run_cli("sweep", "--scenario", write_scenario(Path(tmp, "s.json"), **doc),
+                    "--vary", vary, "--tolerance", repr(eps), "--out", str(out))
+        return r.returncode, r.stderr, out.read_text() if out.exists() else None
 
 
 # Any magnitude from 1e-300 to 1e300: squares overflow and products underflow.
-magnitude = st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 9.9), st.integers(-300, 300))
-wide_params = st.builds(
-    ScenarioParams, a=magnitude, a_star=magnitude, b=magnitude, b_star=magnitude,
-    lam=magnitude, n=magnitude, B0=st.just(1.0), B0_star=st.just(2.0),
-    p0=st.just(1.0), t0=st.just(0.0),
-)
+wide_params = coefficient_params(
+    st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 9.9), st.integers(-300, 300)))
 
 
 def base_params(fields):
     """BASE as ScenarioParams, with file-keyed fields replaced."""
-    doc = dict(BASE, **fields)
-    return ScenarioParams(**{field: doc[key] for key, field in PARAM_KEYS.items()})
+    return parse_scenario(dict(BASE, **fields)).params
 
 
 class TestSweepKernel:
@@ -653,15 +588,20 @@ class TestExtremeInputs:
         assert not out.exists()
 
 
-class TestCalibrate:
-    def write_series(self, path, rows):
-        path.write_text("".join(f"{t} {v}\n" for t, v in rows))
-        return str(path)
+def write_series(path, rows):
+    path.write_text("".join(f"{t} {v}\n" for t, v in rows))
+    return str(path)
 
-    def test_two_point_fit(self, tmp_path):
-        series = self.write_series(tmp_path / "gdp.txt",
-                                   [(2000, 5064), (2018, 18592)])
-        r = run_cli("calibrate", "--series", series)
+
+@pytest.fixture
+def gdp(tmp_path):
+    """A two-point series file: 5064 in 2000, 18592 in 2018."""
+    return write_series(tmp_path / "gdp.txt", [(2000, 5064), (2018, 18592)])
+
+
+class TestCalibrate:
+    def test_two_point_fit(self, gdp):
+        r = run_cli("calibrate", "--series", gdp)
         assert r.returncode == 0
         rep = parse_report(r.stdout)
         assert float(rep["lambda"]) == pytest.approx(0.072254, abs=1e-5)
@@ -670,16 +610,14 @@ class TestCalibrate:
 
     def test_synthetic_recovery(self, tmp_path):
         rows = [(2000 + k, 1000.0 * math.exp(0.1 * k)) for k in range(10)]
-        series = self.write_series(tmp_path / "s.txt", rows)
+        series = write_series(tmp_path / "s.txt", rows)
         rep = parse_report(run_cli("calibrate", "--series", series).stdout)
         assert abs(float(rep["lambda"]) - 0.1) < 1e-10
         assert float(rep["residual"]) < 1e-10
 
-    def test_write_scenario_round_trips(self, tmp_path):
-        series = self.write_series(tmp_path / "gdp.txt",
-                                   [(2000, 5064), (2018, 18592)])
+    def test_write_scenario_round_trips(self, tmp_path, gdp):
         out = tmp_path / "fitted.json"
-        r = run_cli("calibrate", "--series", series,
+        r = run_cli("calibrate", "--series", gdp,
                     "--write-scenario", str(out), "--n", "14.8")
         assert r.returncode == 0
         assert f"scenario_written: {out}" in r.stdout
@@ -693,28 +631,23 @@ class TestCalibrate:
         assert rep["growth_case"] == "HighGrowth"
         assert rep["band"] == "High"
 
-    def test_write_scenario_requires_n(self, tmp_path):
-        series = self.write_series(tmp_path / "gdp.txt",
-                                   [(2000, 5064), (2018, 18592)])
-        r = run_cli("calibrate", "--series", series,
+    def test_write_scenario_requires_n(self, tmp_path, gdp):
+        r = run_cli("calibrate", "--series", gdp,
                     "--write-scenario", str(tmp_path / "x.json"))
         assert r.returncode == 2
         assert "--n" in r.stderr
 
-    def test_write_scenario_into_missing_directory_exits_2(self, tmp_path):
+    def test_write_scenario_into_missing_directory_exits_2(self, tmp_path, gdp):
         # Same writer and error as simulate's --out.
-        series = self.write_series(tmp_path / "gdp.txt",
-                                   [(2000, 5064), (2018, 18592)])
         target = tmp_path / "missing" / "f.json"
-        r = run_cli("calibrate", "--series", series,
+        r = run_cli("calibrate", "--series", gdp,
                     "--write-scenario", str(target), "--n", "2")
         assert r.returncode == 2
         assert r.stderr.startswith(f"error: cannot write output file {target}: ")
         assert "Traceback" not in r.stderr
 
     def test_flat_series_assembly_refused(self, tmp_path):
-        series = self.write_series(tmp_path / "flat.txt",
-                                   [(2000, 750), (2001, 750), (2002, 750)])
+        series = write_series(tmp_path / "flat.txt", [(2000, 750), (2001, 750), (2002, 750)])
         r = run_cli("calibrate", "--series", series,
                     "--write-scenario", str(tmp_path / "x.json"), "--n", "2")
         assert r.returncode == 2
@@ -778,5 +711,5 @@ def test_startup_imports_no_pathlib_or_resources():
     code = ("import sys, wellbeing_dynamics.cli; "
             "print(sorted({'pathlib', 'importlib.resources', 'typing'} & set(sys.modules)))")
     r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                       env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+                       env={**os.environ, "PYTHONPATH": SRC})
     assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")

@@ -248,11 +248,17 @@ class TestGeneralWellbeing:
         with pytest.raises(DomainError):
             general_wellbeing(p, p, a=0.5, b=-0.1, B0=1.0, t0=0.0, t=1.0)
 
-    def test_rejects_nonpositive_income_on_path(self):
-        p = ExponentialIncome(p0=1.0, rate=0.0)
-        q = LinearIncome(p0=1.0, slope=-0.25)  # crosses zero at t = 4
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize("p,q,message", [
+        # q crosses zero at t = 4; the quadrature's first evaluation past it is at t = 5.
+        (ExponentialIncome(1.0, 0.0), LinearIncome(1.0, -0.25), "non-positive income at t = 5.0"),
+        # p is -4 at t = 5.
+        (LinearIncome(1.0, -1.0), ExponentialIncome(1.0, 0.0),
+         "income p must be positive at the window endpoints"),
+    ])
+    def test_rejects_nonpositive_income_on_path(self, p, q, message):
+        with pytest.raises(DomainError) as exc_info:
             general_wellbeing(p, q, a=1.0, b=0.1, B0=1.0, t0=0.0, t=5.0)
+        assert str(exc_info.value) == message
 
     def test_beyond_float_range_of_the_income_ratio(self):
         # (p(800)/p(0))**10 = e^800 overflows; B = e^(800 - 0.5 * 1.5 * 800) does not.
@@ -269,6 +275,12 @@ class TestGeneralWellbeing:
         p = ExponentialIncome(p0=1.0, rate=1.0)
         with pytest.raises(OverflowError, match=r"^income overflows at t = 800$"):
             general_wellbeing(p, p.scaled(1.5), a=10.0, b=0.5, B0=1.0, t0=0.0, t=800.0)
+
+    def test_income_gap_overflow_names_t(self):
+        # q/p = 1e310 leaves the float range while both incomes are finite.
+        p, q = ExponentialIncome(p0=1e-300, rate=0.0), ExponentialIncome(p0=1e10, rate=0.0)
+        with pytest.raises(OverflowError, match=r"^income gap q/p overflows at t = 0$"):
+            general_wellbeing(p, q, a=1.0, b=0.05, B0=1.0, t0=0.0, t=1.0)
 
     def test_scale_invariance_of_income_units(self):
         rng = random.Random(7)

@@ -93,6 +93,11 @@ class TestTabulatedIncome:
         assert math.isclose(m.value(0.5), math.sqrt(2.0), rel_tol=1e-15)
         assert math.isclose(m.value(1.5), math.sqrt(8.0), rel_tol=1e-15)
 
+    @pytest.mark.parametrize("v0,v1", [(1e-200, 1e200), (1e200, 1e-200)])
+    def test_log_linear_when_node_ratio_leaves_the_float_range(self, v0, v1):
+        # The ratios 1e400 and 1e-400 are not normal floats; the midpoint value is 1.
+        assert TabulatedIncome(((0.0, v0), (10.0, v1))).value(5.0) == pytest.approx(1.0, rel=1e-12)
+
     def test_derivative_from_node_slopes(self):
         m = TabulatedIncome(self.POINTS)
         # One-sided at the ends, centered difference inside.
@@ -111,6 +116,11 @@ class TestTabulatedIncome:
     def test_needs_two_points(self):
         with pytest.raises(DomainError):
             TabulatedIncome(((0.0, 1.0),))
+
+    def test_rejects_points_that_are_not_pairs(self):
+        with pytest.raises(DomainError) as exc_info:
+            TabulatedIncome(((0.0, 1.0, 2.0), (1.0, 2.0, 3.0)))
+        assert str(exc_info.value) == "tabulated income points must be (time, value) pairs"
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(DomainError, match="must be > 0"):
@@ -245,8 +255,7 @@ class TestTimeGrid:
 class TestIntegrate:
     def exponential_pair(self, params):
         p = ExponentialIncome(params.p0, params.lam, params.t0)
-        q = ExponentialIncome(params.n * params.p0, params.lam, params.t0)
-        return p, q
+        return p, p.scaled(params.n)
 
     def test_matches_closed_form(self):
         p, q = self.exponential_pair(HIGH)
@@ -374,22 +383,28 @@ class TestIntegrate:
             assert math.isclose(x, y, rel_tol=1e-9)
 
 
-def reference_rk4(p, q, params, grid):
-    """Four right-hand-side evaluations per step plus an income sample per
-    record: the RK4 loop that stage sharing replaced, kept as the oracle."""
+def reference_rhs(p, q, params):
+    """(rhs, record, columns) of the reference loops below: the right-hand
+    side from four income calls, and a record that samples both incomes again."""
     a, b, a_s, b_s = params.a, params.b, params.a_star, params.b_star
     cols = ([], [], [], [], [])
 
     def rhs(t, B, S):
         pv, qv = p.value(t), q.value(t)
-        dB = (a * p.derivative(t) / pv - b * qv / pv) * B
-        dS = (a_s * q.derivative(t) / qv - b_s * pv / qv) * S
-        return dB, dS
+        return ((a * p.derivative(t) / pv - b * qv / pv) * B,
+                (a_s * q.derivative(t) / qv - b_s * pv / qv) * S)
 
     def record(t, B, S):
         for col, x in zip(cols, (t, B, S, p.value(t), q.value(t))):
             col.append(x)
 
+    return rhs, record, cols
+
+
+def reference_rk4(p, q, params, grid):
+    """Four right-hand-side evaluations per step plus an income sample per
+    record: the RK4 loop that stage sharing replaced, kept as the oracle."""
+    rhs, record, cols = reference_rhs(p, q, params)
     t = grid[0]
     B, S = params.B0, params.B0_star
     record(t, B, S)
@@ -410,18 +425,7 @@ def reference_rkf45(p, q, params, t_end, step, tol):
     """Six right-hand-side evaluations per attempt plus an income sample per
     record: the RKF45 loop before it stepped on the coefficients, kept as
     the oracle."""
-    a, b, a_s, b_s = params.a, params.b, params.a_star, params.b_star
-    cols = ([], [], [], [], [])
-
-    def rhs(t, B, S):
-        pv, qv = p.value(t), q.value(t)
-        return ((a * p.derivative(t) / pv - b * qv / pv) * B,
-                (a_s * q.derivative(t) / qv - b_s * pv / qv) * S)
-
-    def record(t, B, S):
-        for col, x in zip(cols, (t, B, S, p.value(t), q.value(t))):
-            col.append(x)
-
+    rhs, record, cols = reference_rhs(p, q, params)
     t, span = params.t0, t_end - params.t0
     B, S = params.B0, params.B0_star
     record(t, B, S)

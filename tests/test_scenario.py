@@ -23,18 +23,11 @@ from wellbeing_dynamics import (
     parse_sweep,
 )
 from wellbeing_dynamics.scenario import PARAM_KEYS, SWEEPABLE, with_param
-
-BASE = {
-    "a": 1.0, "a_star": 1.0, "b": 0.05, "b_star": 0.05,
-    "lambda": 0.1, "n": 1.5, "B0": 1.0, "B0_star": 1.0,
-    "p0": 2.0, "t0": 0.0,
-}
+from conftest import BASE
 
 
 def doc(**overrides):
-    d = dict(BASE)
-    d.update(overrides)
-    return d
+    return dict(BASE, **overrides)
 
 
 class TestParseScenario:
@@ -124,6 +117,16 @@ class TestIncomeOverrides:
     def test_unknown_income_type(self):
         with pytest.raises(DomainError, match="type"):
             parse_scenario(doc(income_model={"type": "quadratic"}), "test")
+
+    @pytest.mark.parametrize("block,message", [
+        ([1.0], "test: 'income_model' must be an object"),
+        ({"type": "tabulated", "points": [[0, 2.0, 1.0], [5, 3.0, 1.0]]},
+         "test: tabulated income_model requires 'points' as a list of [t, value] pairs"),
+    ])
+    def test_malformed_income_model_message(self, block, message):
+        with pytest.raises(DomainError) as exc_info:
+            parse_scenario(doc(income_model=block), "test")
+        assert str(exc_info.value) == message
 
     def test_unknown_income_key(self):
         with pytest.raises(DomainError, match="rate"):
