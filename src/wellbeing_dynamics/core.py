@@ -154,9 +154,9 @@ def general_wellbeing(
     """Well-being at time t for arbitrary positive income paths.
 
     Evaluates B0 * exp(a * (ln p(t) - ln p(t0)) - b * I) through grown,
-    where I is the integral of q(s)/p(s) over [t0, t] computed by
-    adaptive quadrature. Swapping the roles (p and q exchanged, starred
-    sensitivities) yields the favored group's value.
+    where I, the integral of q(s)/p(s) over [t0, t], comes from adaptive
+    quadrature split at both incomes' nodes. Swapping the roles (p and q
+    exchanged, starred sensitivities) yields the favored group's value.
 
     Args:
         p: own-group income model.
@@ -196,7 +196,8 @@ def general_wellbeing(
     p_start, p_end = incomes(p, q, t0)[0], incomes(p, q, t)[0]
     if p_start <= 0.0 or p_end <= 0.0:
         raise DomainError("income p must be positive at the window endpoints")
-    integral, _ = adaptive_simpson(gap_ratio, t0, t, tol=quad_tol)
+    points = sorted({s for s in (*p.nodes, *q.nodes) if t0 < s < t})
+    integral, _ = adaptive_simpson(gap_ratio, t0, t, tol=quad_tol, points=points)
     return grown(B0, a * (math.log(p_end) - math.log(p_start)) - b * integral, "B", t)
 
 

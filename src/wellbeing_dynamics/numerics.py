@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+
 from .errors import DomainError, QuadratureError, checked
 
 
@@ -11,6 +13,7 @@ def adaptive_simpson(
     b: float,
     tol: float = 1e-10,
     max_depth: int = 50,
+    points: Sequence[float] = (),
 ) -> tuple[float, float]:
     """Integrate f over [a, b] by adaptive Simpson bisection.
 
@@ -25,13 +28,16 @@ def adaptive_simpson(
         b: upper limit; must satisfy a <= b.
         tol: absolute error target for the whole interval, > 0.
         max_depth: bisection depth limit before giving up.
+        points: f's kinks, strictly increasing inside (a, b). Each piece
+            between them starts with a tolerance share proportional to its length.
 
     Returns:
         Pair (value, error_estimate); the estimate accumulates the
         per-interval Richardson terms of the accepted pieces.
 
     Raises:
-        DomainError: reversed interval, non-finite limits, or tol <= 0.
+        DomainError: reversed interval, non-finite limits, tol <= 0, or
+            points not strictly increasing inside (a, b).
         QuadratureError: max_depth exceeded; carries the partial value
             assembled from everything processed or pending so far.
     """
@@ -48,16 +54,18 @@ def adaptive_simpson(
         fmid = f(mid)
         return mid, fmid, (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
-    fa = f(a)
-    fb = f(b)
-    m, fm, whole = simpson(a, fa, b, fb)
-    # Stack entries: (lo, flo, mid, fmid, hi, fhi, simpson_estimate, tol_share, depth).
-    # The right half is pushed first so intervals resolve left to right.
-    stack = [(a, fa, m, fm, b, fb, whole, tol, 0)]
+    edges = [a, *points, b]
+    if not all(lo < hi for lo, hi in zip(edges, edges[1:])):
+        raise DomainError(f"points must increase strictly inside ({a}, {b})")
+    fs = [f(x) for x in edges]
+    # Stack entries: (lo, flo, hi, fhi, mid, fmid, simpson_estimate, tol_share, depth).
+    # Right pieces and halves are pushed first so intervals resolve left to right.
+    stack = [(lo, flo, hi, fhi, *simpson(lo, flo, hi, fhi), tol * ((hi - lo) / (b - a)), 0)
+             for lo, flo, hi, fhi in reversed(tuple(zip(edges, fs, edges[1:], fs[1:])))]
     total = 0.0
     err_total = 0.0
     while stack:
-        lo, flo, mid, fmid, hi, fhi, s_whole, tol_here, depth = stack.pop()
+        lo, flo, hi, fhi, mid, fmid, s_whole, tol_here, depth = stack.pop()
         lm, flm, s_left = simpson(lo, flo, mid, fmid)
         rm, frm, s_right = simpson(mid, fmid, hi, fhi)
         delta = s_left + s_right - s_whole
@@ -66,13 +74,11 @@ def adaptive_simpson(
             total += s_left + s_right + delta / 15.0
             err_total += abs(delta) / 15.0
         elif depth >= max_depth:
-            partial = total + s_left + s_right + sum(entry[6] for entry in stack)
             raise QuadratureError(
                 f"quadrature did not converge on [{lo}, {hi}] after {depth} bisections",
-                partial=partial,
-                error_estimate=err_total + abs(delta) / 15.0,
-            )
+                partial=total + s_left + s_right + sum(entry[6] for entry in stack),
+                error_estimate=err_total + abs(delta) / 15.0)
         else:
-            stack.append((mid, fmid, rm, frm, hi, fhi, s_right, 0.5 * tol_here, depth + 1))
-            stack.append((lo, flo, lm, flm, mid, fmid, s_left, 0.5 * tol_here, depth + 1))
+            stack.append((mid, fmid, hi, fhi, rm, frm, s_right, 0.5 * tol_here, depth + 1))
+            stack.append((lo, flo, mid, fmid, lm, flm, s_left, 0.5 * tol_here, depth + 1))
     return total, err_total

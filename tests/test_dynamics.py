@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+import typing
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import replace
 
 import mpmath as mp
@@ -30,7 +32,7 @@ from wellbeing_dynamics import (
     integrate,
     time_grid,
 )
-from wellbeing_dynamics import dynamics
+from wellbeing_dynamics import core, dynamics
 from wellbeing_dynamics.dynamics import MAX_GRID_STEPS, _run_rk4, _run_rkf45, uniform_grid
 from wellbeing_dynamics.numerics import adaptive_simpson
 from conftest import draw_params, uniform
@@ -63,6 +65,12 @@ class TestExponentialIncome:
     def test_rejects_nonpositive_level(self):
         with pytest.raises(DomainError):
             ExponentialIncome(p0=0.0, rate=0.1)
+
+    @pytest.mark.parametrize("method", ["value", "derivative"])
+    def test_overflow_names_t(self, method):
+        # e^800 is past the float range: the message integrate and general_wellbeing give.
+        with pytest.raises(OverflowError, match=r"^income overflows at t = 800$"):
+            getattr(ExponentialIncome(1.0, 1.0), method)(800.0)
 
 
 class TestLinearIncome:
@@ -488,7 +496,7 @@ class TestRK4StageSharing:
         rng = random.Random(5)
         p = TabulatedIncome(tuple((0.5 * k, 2.0 * math.exp(0.05 * k + rng.uniform(0, 0.1)))
                                   for k in range(21)))
-        assert set(p._times) & set(time_grid(0.0, 10.0, 0.05))
+        assert set(p.nodes) & set(time_grid(0.0, 10.0, 0.05))
         self.assert_matches_reference(p, p.scaled(1.7), HIGH, 10.0, 0.05)
 
     def test_grid_starting_below_zero(self):
@@ -542,10 +550,10 @@ class TestRK4StageSharing:
 
 
 def income_pairs():
-    """(p, q) on exponential, linear and tabulated income."""
+    """(p, q) on exponential, linear and tabulated income, each defined from t = -3.7 on."""
     rng = random.Random(17)
-    tab = TabulatedIncome(tuple((0.37 * k, 2.0 * math.exp(0.05 * k + rng.uniform(0, 0.1)))
-                                for k in range(40)))
+    tab = TabulatedIncome(tuple((0.37 * k - 3.7, 2.0 * math.exp(0.05 * k + rng.uniform(0, 0.1)))
+                                for k in range(50)))
     exp = ExponentialIncome(HIGH.p0, HIGH.lam)
     return [pytest.param(exp, exp.scaled(HIGH.n), id="exponential"),
             pytest.param(LinearIncome(2.0, 0.3), LinearIncome(3.0, 0.1), id="linear"),
@@ -556,11 +564,29 @@ class TestOneEvaluationPerTime:
     """Every income call inside integrate comes from one evaluation of
     (p, q, p', q') at one time, and each recorded (p, q) is that evaluation's."""
 
+    @pytest.mark.parametrize("case,t0,t_end,step,tol", [
+        ("mid-range", 0.0, 12.0, 0.3, 1e-9),
+        ("negative t0", -3.7, 10.0, 0.3, 1e-9),
+        ("first step beyond the span", 0.0, 2.5, 10.0, 1e-9),
+        ("shortened final step", 0.0, 1.5, 0.2, 1e-4),
+        ("tight tol, large first step", 0.0, 10.0, 5.0, 1e-12),
+    ])
     @pytest.mark.parametrize("p,q", income_pairs())
-    def test_rkf45_matches_resampling_loop(self, p, q):
-        tr = integrate(p, q, HIGH, 12.0, method="rkf45", step=0.3, tol=1e-9)
-        want = reference_rkf45(p, q, HIGH, 12.0, 0.3, 1e-9)
+    def test_rkf45_matches_resampling_loop(self, monkeypatch, p, q, case, t0, t_end, step, tol):
+        params = replace(HIGH, t0=t0)
+        counts = count_income_calls(monkeypatch)
+        tr = integrate(p, q, params, t_end, method="rkf45", step=step, tol=tol)
+        attempts, accepted = (counts["derivative"] - 2) / 12, len(tr.times) - 1
+        want = reference_rkf45(p, q, params, t_end, step, tol)
         assert (tr.times, tr.B, tr.B_star, tr.p, tr.q) == want
+        assert step > t_end - t0 if case == "first step beyond the span" else step < t_end - t0
+        if case == "shortened final step":
+            # No attempt failed, and an accepted step lets the next grow at least 0.9-fold,
+            # so only t_end can have cut the last one below that.
+            assert attempts == accepted
+            assert tr.times[-1] - tr.times[-2] < 0.9 * (tr.times[-2] - tr.times[-3])
+        if case == "tight tol, large first step":
+            assert attempts > accepted
 
     @pytest.mark.parametrize("method", ["rk4", "rkf45"])
     @pytest.mark.parametrize("p,q", income_pairs())
@@ -672,6 +698,158 @@ class TestQuadrature:
         err = exc_info.value
         assert err.partial is not None
         assert math.isfinite(err.partial)
+
+    def test_points_split_the_tolerance_by_length(self):
+        # 100 pieces with tol/100 each: the estimates sum to at most tol. With the
+        # whole tol per piece they would sum to 2.5e-9.
+        points = [0.04 * k for k in range(1, 100)]
+        value, err = adaptive_simpson(math.exp, 0.0, 4.0, tol=1e-10, points=points)
+        assert abs(value - float(mp.e**4 - 1)) < 1e-10
+        assert err <= 1e-10
+
+    def test_depth_exhaustion_with_points_counts_pending_pieces(self):
+        # s**4 on the first piece fails at depth 0; the three pieces where f is 1 are
+        # still pending, and the partial value counts them.
+        with pytest.raises(QuadratureError) as exc_info:
+            adaptive_simpson(lambda s: s**4 if s < 1.0 else 1.0, 0.0, 4.0,
+                             tol=1e-15, max_depth=0, points=[1.0, 2.0, 3.0])
+        assert abs(exc_info.value.partial - (0.2 + 3.0)) < 0.01
+
+    @pytest.mark.parametrize("points", [[0.0], [4.0], [2.0, 1.0], [1.0, 1.0], [math.nan],
+                                        [-1.0, 2.0]])
+    def test_points_must_increase_strictly_inside(self, points):
+        with pytest.raises(DomainError, match="points must increase strictly inside"):
+            adaptive_simpson(math.exp, 0.0, 4.0, points=points)
+
+    def test_type_hints_resolve(self):
+        hints = typing.get_type_hints(adaptive_simpson)
+        assert hints["f"] == Callable[[float], float]
+        assert hints["points"] == Sequence[float]
+
+
+def log_income(model, s):
+    """ln model(s) in mpmath from the model's own parameters: exponential income, or
+    tabulated income, which is log-linear between its nodes."""
+    s = mp.mpf(s)
+    if isinstance(model, ExponentialIncome):
+        return mp.log(model.p0) + model.rate * (s - model.t0)
+    times = [t for t, _ in model.points]
+    i = min(max(bisect_right(times, s) - 1, 0), len(times) - 2)
+    (t_lo, v_lo), (t_hi, v_hi) = model.points[i], model.points[i + 1]
+    return mp.log(v_lo) + (s - t_lo) * (mp.log(v_hi) - mp.log(v_lo)) / (t_hi - t_lo)
+
+
+def piecewise_exponential_wellbeing(p, q, a, b, B0, t0, t):
+    """B0 * exp(a * ln(p(t)/p(t0)) - b * I) for exponential or tabulated p and q, with
+    no quadrature and no ODE: between consecutive nodes of either income, ln(q/p) is
+    linear, so q/p = exp(alpha + gamma*s) there and its integral has a closed form."""
+    cuts = [mp.mpf(t0), *sorted({mp.mpf(s) for m in (p, q) if isinstance(m, TabulatedIncome)
+                                 for s, _ in m.points if t0 < s < t}), mp.mpf(t)]
+    integral = mp.mpf(0)
+    for u, v in zip(cuts, cuts[1:]):
+        gap_u, gap_v = log_income(q, u) - log_income(p, u), log_income(q, v) - log_income(p, v)
+        gamma = (gap_v - gap_u) / (v - u)
+        integral += ((mp.exp(gap_v) - mp.exp(gap_u)) / gamma if gamma else
+                     mp.exp(gap_u) * (v - u))
+    return float(B0 * mp.exp(a * (log_income(p, t) - log_income(p, t0)) - b * integral))
+
+
+def node_times(count, end, seed):
+    """0, count random times inside (0, end), and end."""
+    rng = random.Random(seed)
+    return [0.0, *sorted(rng.uniform(0.0, end) for _ in range(count)), end]
+
+
+def kinked_income(times, seed, level=2.0):
+    """Tabulated income on times, growing by -2..8% a year on each segment."""
+    rng, points = random.Random(seed), [(times[0], level)]
+    for t_lo, t_hi in zip(times, times[1:]):
+        points.append((t_hi, points[-1][1] * math.exp(rng.uniform(-0.02, 0.08) * (t_hi - t_lo))))
+    return TabulatedIncome(tuple(points))
+
+
+def spy_points(monkeypatch) -> list:
+    """The points argument of every adaptive_simpson call general_wellbeing makes."""
+    seen = []
+
+    def spy(*args, points=(), **kwargs):
+        seen.append(list(points))
+        return adaptive_simpson(*args, points=points, **kwargs)
+
+    monkeypatch.setattr(core, "adaptive_simpson", spy)
+    return seen
+
+
+class TestQuadratureSplitAtNodes:
+    """general_wellbeing splits the quadrature at both incomes' nodes inside (t0, t)."""
+
+    P = kinked_income(node_times(13, 20.0, seed=23), seed=1)
+    Q = kinked_income(node_times(9, 20.5, seed=24), seed=2)
+    EXP = ExponentialIncome(1.3, 0.08, t0=2.0)
+
+    def assert_matches_oracle(self, p, q, t0, t, a=1.0, b=0.3, B0=1.5):
+        got = general_wellbeing(p, q, a, b, B0, t0, t)
+        want = piecewise_exponential_wellbeing(p, q, a, b, B0, t0, t)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("p,q", [
+        pytest.param(P, Q, id="different node sets"),
+        pytest.param(Q, P, id="different node sets, roles swapped"),
+        pytest.param(EXP, Q, id="exponential p, tabulated q"),
+        pytest.param(P, EXP, id="tabulated p, exponential q"),
+    ])
+    def test_against_per_segment_closed_form(self, p, q):
+        self.assert_matches_oracle(p, q, 0.7, 18.2)
+
+    def test_nodes_at_both_ends_and_outside_the_window(self, monkeypatch):
+        seen = spy_points(monkeypatch)
+        t0, t = self.P.nodes[3], self.P.nodes[11]
+        self.assert_matches_oracle(self.P, self.Q, t0, t)
+        inside = sorted({s for s in self.P.nodes + self.Q.nodes if t0 < s < t})
+        assert seen == [inside]
+        assert len(inside) < len(self.P.nodes) + len(self.Q.nodes) - 2
+
+    def test_shared_nodes_once(self, monkeypatch):
+        seen = spy_points(monkeypatch)
+        self.assert_matches_oracle(self.P, self.P.scaled(1.7), 0.5, 19.0)
+        assert seen == [[s for s in self.P.nodes if 0.5 < s < 19.0]]
+
+    def test_empty_window(self, monkeypatch):
+        seen = spy_points(monkeypatch)
+        t0 = self.P.nodes[4]
+        assert general_wellbeing(self.P, self.Q, 1.0, 0.3, 1.5, t0, t0) == 1.5
+        assert seen == [[]]
+
+    def test_fewer_than_half_the_integrand_calls(self):
+        # 21 nodes over [0, 40]: the whole-interval rule bisects deep at every kink.
+        times = [2.0 * k for k in range(21)]
+        p, q = kinked_income(times, seed=3), kinked_income(times, seed=4, level=3.0)
+        calls = []
+
+        def gap(s):
+            calls.append(s)
+            return q.value(s) / p.value(s)
+
+        whole, _ = adaptive_simpson(gap, 0.0, 40.0)
+        n_whole = len(calls)
+        calls.clear()
+        split, _ = adaptive_simpson(gap, 0.0, 40.0, points=times[1:-1])
+        assert 2 * len(calls) < n_whole  # 501 against 2,005
+        want = piecewise_exponential_wellbeing(p, q, 0.0, 1.0, 1.0, 0.0, 40.0)
+        for value in (whole, split):
+            assert abs(math.exp(-value) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("p,q", [
+        pytest.param(ExponentialIncome(2.0, 0.1), ExponentialIncome(3.0, 0.07), id="exponential"),
+        pytest.param(LinearIncome(2.0, 0.3), LinearIncome(3.0, 0.1), id="linear"),
+    ])
+    def test_smooth_incomes_take_one_piece_bit_for_bit(self, monkeypatch, p, q):
+        seen = spy_points(monkeypatch)
+        got = general_wellbeing(p, q, 1.2, 0.05, 2.0, 0.5, 13.0)
+        assert seen == [[]]
+        integral, _ = adaptive_simpson(lambda s: q.value(s) / p.value(s), 0.5, 13.0)
+        log_growth = 1.2 * (math.log(p.value(13.0)) - math.log(p.value(0.5))) - 0.05 * integral
+        assert got == core.grown(2.0, log_growth, "B", 13.0)
 
 
 class TestCrossValidate:
