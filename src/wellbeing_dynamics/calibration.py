@@ -105,12 +105,19 @@ def fit_growth_rate(series: IncomeSeries) -> GrowthFit:
 
     Fits ln(income) = lam * (t - t_first) + ln(p0). Exact through the
     data for two points; the constant series gives lam = 0 exactly.
+    DomainError when the times are too close together for their variance
+    to stay above 0.
     """
     import statistics  # on use, so that importing the package does not load it
     t_first = series.points[0][0]
     xs = [t - t_first for t, _ in series.points]
     ys = [math.log(v) for _, v in series.points]
-    line = statistics.linear_regression(xs, ys)
+    try:
+        line = statistics.linear_regression(xs, ys)
+    except statistics.StatisticsError:  # "x is constant": the times' spread squared is 0
+        raise DomainError(
+            f"income series times {t_first!r} to {series.points[-1][0]!r} are too close "
+            "together to fit a growth rate: their variance underflows to 0") from None
     residual = math.sqrt(
         statistics.fmean((y - (line.slope * x + line.intercept)) ** 2 for x, y in zip(xs, ys))
     )
@@ -144,8 +151,9 @@ def scenario_from_data(
     are user inputs; no data in scope identifies them.
 
     Raises:
-        DomainError: when the fitted growth rate is not positive, or the
-            supplied n_estimate / sensitivities are invalid.
+        DomainError: when the series cannot be fitted, the fitted growth
+            rate is not positive, or the supplied n_estimate / sensitivities
+            are invalid.
     """
     fit = fit_growth_rate(series)
     if fit.lam <= 0.0:

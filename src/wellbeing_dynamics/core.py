@@ -121,11 +121,9 @@ def grown(level: float, log_growth: float, name: str, t, per: float = 1.0) -> fl
 
 
 def incomes(p: "IncomeModel", q: "IncomeModel", t: float) -> tuple[float, float]:
-    """(p(t), q(t)); an OverflowError with INCOME_OVERFLOW when either leaves the float range."""
-    try:
-        pair = p.value(t), q.value(t)
-    except OverflowError:
-        pair = (math.inf,)
+    """(p(t), q(t)); an OverflowError with INCOME_OVERFLOW when either leaves the float range.
+    Exponential income raises it itself; a linear one returns inf, which raises it here."""
+    pair = p.value(t), q.value(t)
     if math.inf in pair:
         raise OverflowError(INCOME_OVERFLOW % t)
     return pair

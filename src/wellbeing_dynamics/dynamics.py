@@ -380,6 +380,11 @@ def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record) -
             t = t + h
             B, S = B5, S5
             record(t, B, S, s4)
+        elif not err < math.inf:  # NaN or inf, never accepted: name the income that caused it
+            for c, sample in zip(_RKF_C, (s0, s1, s2, s3, s4, s5)):
+                if not all(map(math.isfinite, sample)):
+                    raise IntegrationError(INCOME_OVERFLOW % (t + c * h),
+                                           last_time=t, last_state=(B, S))
         factor = 5.0 if err == 0.0 else 0.9 * err**-0.2
         h *= min(5.0, max(0.2, factor))
 

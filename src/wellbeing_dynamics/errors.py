@@ -77,7 +77,8 @@ def check_fields(obj, bounds: dict) -> None:
 
 def checked_points(points, label: str) -> tuple[tuple[float, float], ...]:
     """Validate (time, value) samples: at least two, finite, positive
-    values, strictly increasing times. Returns them as float pairs."""
+    values, strictly increasing times whose span is a finite float.
+    Returns them as float pairs."""
     try:
         pairs = [(t, v) for t, v in points]
     except (TypeError, ValueError):
@@ -90,4 +91,8 @@ def checked_points(points, label: str) -> tuple[tuple[float, float], ...]:
     )
     if any(t1 >= t2 for (t1, _), (t2, _) in zip(pts, pts[1:])):
         raise DomainError(f"{label} times must be strictly increasing")
+    first, last = pts[0][0], pts[-1][0]
+    if last - first == math.inf:
+        raise DomainError(f"{label} times {first!r} and {last!r} are too far apart: "
+                          "their difference overflows")
     return pts

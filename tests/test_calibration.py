@@ -63,6 +63,17 @@ class TestFitGrowthRate:
         assert fit.t0 == 2000.0
         assert fit.residual < 1e-12
 
+    def test_times_whose_variance_underflows_rejected(self):
+        # Distinct times, but (1e-300 / 2)**2 underflows to 0: statistics used to raise
+        # "x is constant". scenario_from_data fits through the same routine.
+        s = IncomeSeries(((0.0, 1.0), (1e-300, 4.0)))
+        message = (r"^income series times 0\.0 to 1e-300 are too close together to fit a "
+                   r"growth rate: their variance underflows to 0$")
+        with pytest.raises(DomainError, match=message):
+            fit_growth_rate(s)
+        with pytest.raises(DomainError, match=message):
+            scenario_from_data(s, n_estimate=2.0, a=1.0, a_star=1.0, b=0.05, b_star=0.05)
+
     def test_constant_series_gives_zero_rate(self):
         s = IncomeSeries(tuple((2000.0 + k, 750.0) for k in range(6)))
         fit = fit_growth_rate(s)

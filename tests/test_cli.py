@@ -1,16 +1,13 @@
 """End-to-end command-line behavior, in-process through conftest.run_cli.
 
-Only the start-up import test below starts an interpreter here; test_golden
-replays one case per subcommand and exit code through `python -m`.
+No test here starts an interpreter; test_golden replays one case per
+subcommand and exit code through `python -m`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -22,7 +19,7 @@ from wellbeing_dynamics import ScenarioParams, cli, core, regime
 from wellbeing_dynamics.errors import DomainError
 from wellbeing_dynamics.scenario import (PARAM_KEYS, SWEEPABLE, parse_scenario, parse_sweep,
                                          with_param)
-from conftest import BASE, SRC, run_cli, write_scenario
+from conftest import BASE, run_cli, write_scenario
 
 
 def parse_report(stdout):
@@ -654,6 +651,21 @@ class TestCalibrate:
         rep = parse_report(r.stdout)
         assert float(rep["lambda"]) == 0.0
 
+    @pytest.mark.parametrize("rows,message", [
+        # The span is inf: the fit used to print lambda, p0 and residual as nan and exit 0.
+        ([(-1e308, 1), (1e308, 4)],
+         "income series times -1e+308 and 1e+308 are too far apart: their difference overflows"),
+        ([(-1e308, 1), (0, 2), (1e308, 4)],
+         "income series times -1e+308 and 1e+308 are too far apart: their difference overflows"),
+        # The variance of the times underflows to 0: a StatisticsError traceback with exit 1.
+        ([(0, 1), (1e-300, 4)],
+         "income series times 0.0 to 1e-300 are too close together to fit a growth rate: "
+         "their variance underflows to 0"),
+    ], ids=["span overflows", "span of three overflows", "variance underflows"])
+    def test_unfittable_times_exit_2(self, tmp_path, rows, message):
+        r = run_cli("calibrate", "--series", write_series(tmp_path / "s.txt", rows))
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
     def test_bad_series_file_exits_2(self, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("2000 5064\n2001 5100 extra\n")
@@ -703,13 +715,3 @@ class TestArgumentErrors:
                     "--out", str(tmp_path / "no_dir" / "x.csv"))
         assert r.returncode == 2
 
-
-def test_startup_imports_no_pathlib_or_resources():
-    # -S keeps site .pth files from preloading these modules, so this sees the
-    # package's own imports: the CLI reads files with open(), loads the bundled
-    # data's importlib.resources only on use, and its annotations are strings.
-    code = ("import sys, wellbeing_dynamics.cli; "
-            "print(sorted({'pathlib', 'importlib.resources', 'typing'} & set(sys.modules)))")
-    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                       env={**os.environ, "PYTHONPATH": SRC})
-    assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")

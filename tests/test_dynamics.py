@@ -140,6 +140,16 @@ class TestTabulatedIncome:
         with pytest.raises(DomainError):
             TabulatedIncome(((1.0, 1.0), (0.0, 2.0)))
 
+    @pytest.mark.parametrize("points", [((-1e308, 1.0), (1e308, 4.0)),
+                                        ((-1e308, 1.0), (0.0, 2.0), (1e308, 4.0))])
+    def test_rejects_times_whose_span_overflows(self, points):
+        # 1e308 - (-1e308) is inf, which would make the segment weight 0: value(0.0) would be
+        # 1.0, not the log-linear 2.0, and general_wellbeing would fail at t = -inf.
+        with pytest.raises(DomainError) as exc_info:
+            TabulatedIncome(points)
+        assert str(exc_info.value) == ("tabulated income times -1e+308 and 1e+308 are too far "
+                                       "apart: their difference overflows")
+
     def test_exactly_recovers_exponential_samples(self):
         # Log-linear interpolation is exact for exponential data.
         rate, p0 = 0.08, 3.0
@@ -564,16 +574,22 @@ class TestOneEvaluationPerTime:
     """Every income call inside integrate comes from one evaluation of
     (p, q, p', q') at one time, and each recorded (p, q) is that evaluation's."""
 
-    @pytest.mark.parametrize("case,t0,t_end,step,tol", [
-        ("mid-range", 0.0, 12.0, 0.3, 1e-9),
-        ("negative t0", -3.7, 10.0, 0.3, 1e-9),
-        ("first step beyond the span", 0.0, 2.5, 10.0, 1e-9),
-        ("shortened final step", 0.0, 1.5, 0.2, 1e-4),
-        ("tight tol, large first step", 0.0, 10.0, 5.0, 1e-12),
+    @pytest.mark.parametrize("case,t0,t_end,step,tol,coefficients", [
+        ("mid-range", 0.0, 12.0, 0.3, 1e-9, {}),
+        ("negative t0", -3.7, 10.0, 0.3, 1e-9, {}),
+        ("first step beyond the span", 0.0, 2.5, 10.0, 1e-9, {}),
+        ("shortened final step", 0.0, 1.5, 0.2, 1e-4, {}),
+        ("tight tol, large first step", 0.0, 10.0, 5.0, 1e-12, {}),
+        # h*|c_B| of 0.1 to 0.7 on exponential income (0.02 above), so that B + h*(sum)
+        # keeps a last-bit change of the sum: reordering a stage's sum changes the bits.
+        ("large h*c, decaying", 0.0, 12.0, 0.5, 1e-4,
+         {"a": 4.0, "a_star": 4.0, "b": 3.0, "b_star": 3.0}),
+        ("large h*c, growing", 0.0, 12.0, 0.5, 1e-4, {"a": 20.0, "a_star": 20.0}),
     ])
     @pytest.mark.parametrize("p,q", income_pairs())
-    def test_rkf45_matches_resampling_loop(self, monkeypatch, p, q, case, t0, t_end, step, tol):
-        params = replace(HIGH, t0=t0)
+    def test_rkf45_matches_resampling_loop(self, monkeypatch, p, q, case, t0, t_end, step, tol,
+                                           coefficients):
+        params = replace(HIGH, t0=t0, **coefficients)
         counts = count_income_calls(monkeypatch)
         tr = integrate(p, q, params, t_end, method="rkf45", step=step, tol=tol)
         attempts, accepted = (counts["derivative"] - 2) / 12, len(tr.times) - 1
@@ -629,6 +645,21 @@ class TestAdaptiveIntegrate:
             _run_rkf45(rough, HIGH, 1.0, 0.01, 1e-8, lambda t, B, S, sample: None)
         assert exc_info.value.last_time == HIGH.t0
         assert exc_info.value.last_state == (HIGH.B0, HIGH.B0_star)
+
+    @pytest.mark.parametrize("method,t_named", [("rk4", "354.55"), ("rkf45", "354.8")])
+    def test_income_derivative_overflow_names_t(self, method, t_named):
+        # p(354.8) = 1.497e308 is finite, but p' = 2p is inf from t = 354.5448 on. RKF45's error
+        # estimate is then NaN at every step size: an income overflow, not step underflow.
+        p = ExponentialIncome(1.0, 2.0)
+        params = ScenarioParams(a=1e-3, a_star=1e-3, b=1e-3, b_star=1e-3, lam=2.0, n=1.0,
+                                B0=1.0, B0_star=1.0, p0=1.0)
+        with pytest.raises(IntegrationError,
+                           match=rf"^income overflows at t = {t_named}$") as exc_info:
+            integrate(p, p.scaled(1.0), params, 354.8, method=method)
+        last_time, (B, S) = exc_info.value.last_time, exc_info.value.last_state
+        assert last_time < 354.5448
+        assert B == pytest.approx(closed_form_B(params, last_time), rel=1e-6)
+        assert S == pytest.approx(closed_form_B_star(params, last_time), rel=1e-6)
 
 
 class TestTheoremBeyondExponentialIncome:
