@@ -104,26 +104,27 @@ def fit_growth_rate(series: IncomeSeries) -> GrowthFit:
     """Least-squares exponential growth fit in log space.
 
     Fits ln(income) = lam * (t - t_first) + ln(p0). Exact through the
-    data for two points; the constant series gives lam = 0 exactly.
-    DomainError when the times are too close together for their variance
-    to stay above 0.
+    data for two points; the constant series gives lam = 0 exactly. The
+    times are scaled by the power of two 2**-e that puts their span in
+    [0.5, 1), which is exact, so no square of theirs leaves the float
+    range. DomainError when lam = slope * 2**-e overflows.
     """
     import statistics  # on use, so that importing the package does not load it
-    t_first = series.points[0][0]
-    xs = [t - t_first for t, _ in series.points]
+    t_first, t_last = series.points[0][0], series.points[-1][0]
+    e = math.frexp(t_last - t_first)[1]
+    xs = [math.ldexp(t - t_first, -e) for t, _ in series.points]
     ys = [math.log(v) for _, v in series.points]
+    line = statistics.linear_regression(xs, ys)
     try:
-        line = statistics.linear_regression(xs, ys)
-    except statistics.StatisticsError:  # "x is constant": the times' spread squared is 0
+        lam = math.ldexp(line.slope, -e)
+    except OverflowError:
         raise DomainError(
-            f"income series times {t_first!r} to {series.points[-1][0]!r} are too close "
-            "together to fit a growth rate: their variance underflows to 0") from None
+            f"income series times {t_first!r} to {t_last!r} are too close together: "
+            "the fitted growth rate overflows") from None
     residual = math.sqrt(
         statistics.fmean((y - (line.slope * x + line.intercept)) ** 2 for x, y in zip(xs, ys))
     )
-    return GrowthFit(
-        lam=line.slope, p0=math.exp(line.intercept), residual=residual, t0=t_first
-    )
+    return GrowthFit(lam=lam, p0=math.exp(line.intercept), residual=residual, t0=t_first)
 
 
 def summarize_inequality(records, indicator: Indicator) -> InequalitySummary:

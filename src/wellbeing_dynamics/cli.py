@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 runtime or numeric failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .calibration import fit_growth_rate, read_income_series, scenario_from_data
@@ -21,7 +20,7 @@ from .core import (ScenarioParams, closed_form_B, closed_form_B_star, exponent_g
 from .dynamics import integrate, max_relative_deviation, time_grid
 from .errors import DomainError, IntegrationError, QuadratureError, checked
 from .regime import classify, coefficient_labels
-from .scenario import PARAM_KEYS, SWEEPABLE, load_scenario, parse_sweep, with_param
+from .scenario import PARAM_KEYS, SWEEPABLE, load_scenario, parse_sweep, scenario_text, with_param
 
 
 def _tolerance(args: argparse.Namespace, scenario) -> float:
@@ -140,8 +139,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         params = scenario_from_data(
             series, args.n, a=args.a, a_star=args.a_star, b=args.b, b_star=args.b_star
         )
-        doc = {key: getattr(params, field) for key, field in PARAM_KEYS.items()}
-        _write_table(args.write_scenario, [json.dumps(doc, indent=2)])
+        _write_table(args.write_scenario, [scenario_text(params)])
         print(f"scenario_written: {args.write_scenario}")
     return 0
 

@@ -335,8 +335,8 @@ _RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
 
 
 def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record) -> None:
-    # Straight-line stages, summed left to right with zero weights as sum() did. Stage 4
-    # (t + h) is an accepted step's record, not the next stage 0: six evaluations an attempt.
+    # Straight-line stages: sums add left to right, zero weights too. Stage 4 (t + h) is an
+    # accepted step's record, not the next stage 0: six evaluations an attempt.
     step = checked(step, "step", above=0.0)
     tol = checked(tol, "tol", above=0.0)
     c0, c1, c2, c3, c4, c5 = _RKF_C

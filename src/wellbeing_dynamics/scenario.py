@@ -53,40 +53,28 @@ class NumericsOptions:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed scenario file: parameters, income override, numerics."""
+    """A parsed scenario file: parameters, income path (exponential by default), numerics."""
 
     params: ScenarioParams
-    income: IncomeModel | None
+    income: IncomeModel
     numerics: NumericsOptions
 
     def income_pair(self) -> tuple[IncomeModel, IncomeModel]:
         """Build the (p, q) pair with q = n * p pointwise."""
-        p = self.income
-        if p is None:
-            p = ExponentialIncome(self.params.p0, self.params.lam, self.params.t0)
-        return p, p.scaled(self.params.n)
-
-    def exponential_rate(self) -> float | None:
-        """Growth rate when the effective income is exponential, else None."""
-        if self.income is None:
-            return self.params.lam
-        if isinstance(self.income, ExponentialIncome):
-            return self.income.rate
-        return None
+        return self.income, self.income.scaled(self.params.n)
 
     def closed_form_params(self) -> ScenarioParams:
-        """Parameters with lam set to the effective exponential rate.
+        """Parameters with lam set to the exponential income's rate.
 
         Raises:
             DomainError: when the income path is not exponential, so no
                 closed form applies, or its rate is not positive.
         """
-        rate = self.exponential_rate()
-        if rate is None:
+        if not isinstance(self.income, ExponentialIncome):
             raise DomainError("closed-form evaluation requires an exponential income path")
-        if rate == self.params.lam:
+        if self.income.rate == self.params.lam:
             return self.params
-        return with_param(self.params, "lambda", rate)
+        return with_param(self.params, "lambda", self.income.rate)
 
 
 def _require_number(value, key: str, origin: str) -> float:
@@ -119,9 +107,9 @@ def parse_scenario(doc, origin: str = "scenario") -> Scenario:
     return Scenario(params=params, income=income, numerics=numerics)
 
 
-def _parse_income(block, params: ScenarioParams, origin: str) -> IncomeModel | None:
-    if block is None:
-        return None
+def _parse_income(block, params: ScenarioParams, origin: str) -> IncomeModel:
+    if block is None:  # the model's default: p = p0 * exp(lambda * (t - t0))
+        block = {"type": "exponential"}
     if not isinstance(block, dict):
         raise DomainError(f"{origin}: 'income_model' must be an object")
     kind = block.get("type")
@@ -175,6 +163,11 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: invalid JSON: {exc}") from None
     return parse_scenario(doc, origin=str(path))
+
+
+def scenario_text(params: ScenarioParams) -> str:
+    """The JSON text of a scenario file holding params, as load_scenario reads it."""
+    return json.dumps({key: getattr(params, field) for key, field in PARAM_KEYS.items()}, indent=2)
 
 
 def with_param(params: ScenarioParams, name: str, value: float) -> ScenarioParams:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 
 import pytest
 
@@ -63,16 +64,45 @@ class TestFitGrowthRate:
         assert fit.t0 == 2000.0
         assert fit.residual < 1e-12
 
-    def test_times_whose_variance_underflows_rejected(self):
-        # Distinct times, but (1e-300 / 2)**2 underflows to 0: statistics used to raise
-        # "x is constant". scenario_from_data fits through the same routine.
-        s = IncomeSeries(((0.0, 1.0), (1e-300, 4.0)))
-        message = (r"^income series times 0\.0 to 1e-300 are too close together to fit a "
-                   r"growth rate: their variance underflows to 0$")
+    @pytest.mark.parametrize("rows,max_residual", [
+        # The times' squared spread overflowed to inf: lambda 0 and residual ln 2 at exit 0.
+        (((-1e200, 1.0), (1e200, 4.0)), 0.0),
+        # The squared spread was subnormal: lambda 1.38630979465e+160 and residual 7.7e-06.
+        (((0.0, 1.0), (1e-160, 4.0)), 0.0),
+        # The squared spread underflowed to 0: refused as "too close together".
+        (((0.0, 1.0), (1e-300, 4.0)), 2e-16),
+    ], ids=["spread overflows", "spread subnormal", "spread underflows"])
+    def test_times_whose_squared_spread_leaves_the_float_range(self, rows, max_residual):
+        fit = fit_growth_rate(IncomeSeries(rows))
+        span = rows[1][0] - rows[0][0]
+        assert math.isclose(fit.lam, math.log(4.0) / span, rel_tol=1e-15)
+        assert math.isclose(fit.p0, 1.0, rel_tol=1e-15)
+        assert fit.residual <= max_residual
+
+    def test_rate_that_overflows_rejected(self):
+        # ln 4 / 1e-310 is past the largest float. scenario_from_data fits through the
+        # same routine.
+        s = IncomeSeries(((0.0, 1.0), (1e-310, 4.0)))
+        message = (r"^income series times 0\.0 to 1e-310 are too close together: "
+                   r"the fitted growth rate overflows$")
         with pytest.raises(DomainError, match=message):
             fit_growth_rate(s)
         with pytest.raises(DomainError, match=message):
             scenario_from_data(s, n_estimate=2.0, a=1.0, a_star=1.0, b=0.05, b_star=0.05)
+
+    def test_same_bits_as_the_unscaled_regression(self):
+        # Scaling the times by a power of two is exact, so in-range fits keep their bits.
+        rng = random.Random(37)
+        for _ in range(200):
+            t = 1900.0 + 100.0 * rng.random()
+            rows = []
+            for _ in range(rng.randint(2, 12)):
+                rows.append((t, uniform(rng, 1.0, 1e5)))
+                t += uniform(rng, 0.1, 5.0)
+            fit = fit_growth_rate(IncomeSeries(tuple(rows)))
+            line = statistics.linear_regression([t - rows[0][0] for t, _ in rows],
+                                                [math.log(v) for _, v in rows])
+            assert (fit.lam, fit.p0) == (line.slope, math.exp(line.intercept))
 
     def test_constant_series_gives_zero_rate(self):
         s = IncomeSeries(tuple((2000.0 + k, 750.0) for k in range(6)))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from wellbeing_dynamics import ScenarioParams, cli, core, regime
 from wellbeing_dynamics.errors import DomainError
 from wellbeing_dynamics.scenario import (PARAM_KEYS, SWEEPABLE, parse_scenario, parse_sweep,
-                                         with_param)
+                                         scenario_text, with_param)
 from conftest import BASE, run_cli, write_scenario
 
 
@@ -492,10 +492,10 @@ def _reference_sweep(params, vary, eps, labels=_regime_labels):
 def _run_sweep(params, vary, eps):
     """(exit code, stderr, table or None) of wbdyn sweep on params. A directory
     per call: Hypothesis examples cannot share the function-scoped tmp_path."""
-    doc = {key: getattr(params, field) for key, field in PARAM_KEYS.items()}
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp, "out.csv")
-        r = run_cli("sweep", "--scenario", write_scenario(Path(tmp, "s.json"), **doc),
+        out, scenario = Path(tmp, "out.csv"), Path(tmp, "s.json")
+        scenario.write_text(scenario_text(params))
+        r = run_cli("sweep", "--scenario", str(scenario),
                     "--vary", vary, "--tolerance", repr(eps), "--out", str(out))
         return r.returncode, r.stderr, out.read_text() if out.exists() else None
 
@@ -657,14 +657,28 @@ class TestCalibrate:
          "income series times -1e+308 and 1e+308 are too far apart: their difference overflows"),
         ([(-1e308, 1), (0, 2), (1e308, 4)],
          "income series times -1e+308 and 1e+308 are too far apart: their difference overflows"),
-        # The variance of the times underflows to 0: a StatisticsError traceback with exit 1.
-        ([(0, 1), (1e-300, 4)],
-         "income series times 0.0 to 1e-300 are too close together to fit a growth rate: "
-         "their variance underflows to 0"),
-    ], ids=["span overflows", "span of three overflows", "variance underflows"])
+        # ln 4 / 1e-310 overflows: "math range error" with exit 1.
+        ([(0, 1), (1e-310, 4)],
+         "income series times 0.0 to 1e-310 are too close together: "
+         "the fitted growth rate overflows"),
+    ], ids=["span overflows", "span of three overflows", "rate overflows"])
     def test_unfittable_times_exit_2(self, tmp_path, rows, message):
         r = run_cli("calibrate", "--series", write_series(tmp_path / "s.txt", rows))
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("rows,lam", [
+        # Fitted on the raw times, the first printed lambda 0 and residual 0.69314718056,
+        # the second lambda 1.38630979465e+160 and residual 7.7e-06, the third exited 2.
+        ([(-1e200, 1), (1e200, 4)], "6.9314718056e-201"),
+        ([(0, 1), (1e-160, 4)], "1.38629436112e+160"),
+        ([(0, 1), (1e-300, 4)], "1.38629436112e+300"),
+    ], ids=["spread overflows", "spread subnormal", "spread underflows"])
+    def test_times_at_the_float_range_edges_fit(self, tmp_path, rows, lam):
+        r = run_cli("calibrate", "--series", write_series(tmp_path / "s.txt", rows))
+        assert r.returncode == 0
+        rep = parse_report(r.stdout)
+        assert (rep["lambda"], rep["p0"]) == (lam, "1")
+        assert float(rep["residual"]) < 1e-15
 
     def test_bad_series_file_exits_2(self, tmp_path):
         f = tmp_path / "bad.txt"

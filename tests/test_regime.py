@@ -455,3 +455,15 @@ class TestEpsilonCheckedOnce:
         with pytest.raises(DomainError) as exc:
             call(HIGH, epsilon)
         assert str(exc.value) == message
+
+
+class TestTimeTranslation:
+    def test_classify_ignores_t0(self):
+        # The regime is a property of the coefficients, n and B0/B0*: crossover_time is
+        # counted from t0, so no field moves when t0 does.
+        rng = random.Random(4)
+        for k in range(1000):
+            params = draw_case_params(rng, ("low", "high")[k % 2], t0=uniform(rng, -1e3, 1e3))
+            shift = rng.choice([-1.0, 1.0]) * 10.0 ** uniform(rng, -300.0, 300.0)
+            assert classify(replace(params, t0=params.t0 + shift)) == classify(params)
+            assert classify(replace(params, t0=-0.0)) == classify(params)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wellbeing_dynamics import (
@@ -22,7 +24,7 @@ from wellbeing_dynamics import (
     parse_scenario,
     parse_sweep,
 )
-from wellbeing_dynamics.scenario import PARAM_KEYS, SWEEPABLE, with_param
+from wellbeing_dynamics.scenario import PARAM_KEYS, SWEEPABLE, scenario_text, with_param
 from conftest import BASE
 
 
@@ -35,7 +37,7 @@ class TestParseScenario:
         sc = parse_scenario(doc(), "test")
         assert sc.params.lam == 0.1
         assert sc.params.n == 1.5
-        assert sc.income is None
+        assert sc.income == ExponentialIncome(2.0, 0.1, 0.0)
         assert sc.numerics == NumericsOptions()
 
     def test_unknown_key_named(self):
@@ -77,13 +79,13 @@ class TestIncomeOverrides:
         sc = parse_scenario(doc(income_model={"type": "exponential"}), "test")
         assert isinstance(sc.income, ExponentialIncome)
         assert sc.income.rate == 0.1
-        assert sc.exponential_rate() == 0.1
+        assert sc == parse_scenario(doc(), "test")
+        assert sc.closed_form_params() is sc.params
 
     def test_exponential_rate_override(self):
         sc = parse_scenario(
             doc(income_model={"type": "exponential", "rate": 0.03}), "test")
         assert sc.income.rate == 0.03
-        assert sc.exponential_rate() == 0.03
         assert sc.closed_form_params().lam == 0.03
 
     def test_linear_income(self):
@@ -91,9 +93,9 @@ class TestIncomeOverrides:
             doc(income_model={"type": "linear", "slope": 0.2}), "test")
         assert isinstance(sc.income, LinearIncome)
         assert sc.income.slope == 0.2
-        assert sc.exponential_rate() is None
-        with pytest.raises(DomainError, match="exponential"):
+        with pytest.raises(DomainError) as exc_info:
             sc.closed_form_params()
+        assert str(exc_info.value) == "closed-form evaluation requires an exponential income path"
 
     def test_linear_requires_slope(self):
         with pytest.raises(DomainError, match="slope"):
@@ -290,3 +292,28 @@ class TestWithParam:
         assert scenario.closed_form_params() == ScenarioParams(
             **{**vars(scenario.params), "lam": 0.03}
         )
+
+
+# Every valid parameter set: any positive finite float, any finite t0.
+any_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+any_params = st.builds(
+    ScenarioParams, a=any_positive, a_star=any_positive, b=any_positive, b_star=any_positive,
+    lam=any_positive, n=any_positive, B0=any_positive, B0_star=any_positive, p0=any_positive,
+    t0=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestScenarioText:
+    @given(any_params)
+    @example(ScenarioParams(**{**vars(parse_scenario(doc()).params), "t0": -0.0}))
+    @example(ScenarioParams(5e-324, 1.7976931348623157e308, 1e-300, 1e300, 2.2250738585072014e-308,
+                            1.0, 0.1, 3.0, 7.0, -1.7976931348623157e308))
+    def test_load_of_text_round_trips(self, params):
+        text = scenario_text(params)
+        with tempfile.TemporaryDirectory() as tmp:  # not tmp_path: examples would share it
+            path = Path(tmp, "s.json")
+            path.write_text(text)
+            loaded = load_scenario(path)
+        assert loaded.params == params
+        assert scenario_text(loaded.params) == text
+        assert loaded.income == ExponentialIncome(params.p0, params.lam, params.t0)
