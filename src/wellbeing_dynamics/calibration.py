@@ -1,20 +1,17 @@
-"""Fitting the income growth rate and summarizing inequality indicators.
+"""Fitting the income growth rate from an income series.
 
 The growth rate comes from a least-squares line through ln(income)
 versus time, anchored so that p0 is the fitted income at the first
-sample time. Inequality indicators are ingested as published values
-(Gini, Palma, quintile and decile ratios), never recomputed from
-microdata. Chilean reference figures ship with the package.
+sample time. Chilean reference figures ship with the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .core import ScenarioParams
-from .errors import DomainError, checked, checked_points
+from .errors import DomainError, checked_points, read_text
 
 
 @dataclass(frozen=True)
@@ -28,39 +25,6 @@ class IncomeSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", checked_points(self.points, "income series"))
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.points)
-
-    @property
-    def incomes(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.points)
-
-
-class Indicator(str, Enum):
-    GINI = "Gini"
-    PALMA = "Palma"
-    Q5Q1 = "Q5Q1"    # top-to-bottom quintile income ratio
-    D10D1 = "D10D1"  # top-to-bottom decile income ratio
-
-
-@dataclass(frozen=True)
-class InequalityRecord:
-    """One published indicator value for one year."""
-
-    indicator: Indicator
-    year: int
-    value: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.indicator, Indicator):
-            raise DomainError(f"indicator must be an Indicator, got {self.indicator!r}")
-        if self.indicator is Indicator.GINI:
-            value = checked(self.value, "Gini", above=0.0, below=1.0)
-        else:
-            value = checked(self.value, f"{self.indicator.value} ratio", at_least=1.0)
-        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)
@@ -78,26 +42,6 @@ class GrowthFit:
     p0: float
     residual: float
     t0: float
-
-
-@dataclass(frozen=True)
-class InequalitySummary:
-    indicator: Indicator
-    count: int
-    mean: float
-    minimum: float
-    maximum: float
-
-
-@dataclass(frozen=True)
-class PublishedSummary:
-    """A period summary quoted from a source, not recomputed here."""
-
-    indicator: Indicator
-    period: tuple[int, int]
-    mean: float
-    minimum: float
-    maximum: float
 
 
 def fit_growth_rate(series: IncomeSeries) -> GrowthFit:
@@ -125,21 +69,6 @@ def fit_growth_rate(series: IncomeSeries) -> GrowthFit:
         statistics.fmean((y - (line.slope * x + line.intercept)) ** 2 for x, y in zip(xs, ys))
     )
     return GrowthFit(lam=lam, p0=math.exp(line.intercept), residual=residual, t0=t_first)
-
-
-def summarize_inequality(records, indicator: Indicator) -> InequalitySummary:
-    """Arithmetic mean and range over the records matching the indicator."""
-    import statistics
-    values = [r.value for r in records if r.indicator is indicator]
-    if not values:
-        raise DomainError(f"no records for indicator {indicator.value}")
-    return InequalitySummary(
-        indicator=indicator,
-        count=len(values),
-        mean=statistics.fmean(values),
-        minimum=min(values),
-        maximum=max(values),
-    )
 
 
 def scenario_from_data(
@@ -203,12 +132,7 @@ def read_income_series(path) -> IncomeSeries:
     Columns may be separated by commas or whitespace; blank lines and
     lines starting with '#' are ignored.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise DomainError(f"cannot read series file {path}: {exc}") from None
-    return _parse_series_text(text, str(path))
+    return _parse_series_text(read_text(path, "series file"), str(path))
 
 
 def chile_gdp_series() -> IncomeSeries:
@@ -229,20 +153,4 @@ CHILE_DECADE_MEAN_GROWTH = (
     (1990, 1999, 0.061),
     (2000, 2009, 0.042),
     (2010, 2019, 0.035),
-)
-
-#: Published indicator values by year.
-CHILE_INEQUALITY_RECORDS = (
-    InequalityRecord(Indicator.GINI, 1990, 0.521),
-    InequalityRecord(Indicator.GINI, 2013, 0.488),
-    InequalityRecord(Indicator.PALMA, 1990, 3.58),
-    InequalityRecord(Indicator.PALMA, 2013, 2.96),
-    InequalityRecord(Indicator.Q5Q1, 1990, 14.8),
-    InequalityRecord(Indicator.Q5Q1, 2013, 11.6),
-)
-
-#: Period summaries quoted from the source for 1990-2003.
-CHILE_PUBLISHED_SUMMARIES = (
-    PublishedSummary(Indicator.Q5Q1, (1990, 2003), mean=14.5, minimum=13.2, maximum=15.5),
-    PublishedSummary(Indicator.D10D1, (1990, 2003), mean=32.7, minimum=27.9, maximum=38.5),
 )

@@ -1,4 +1,4 @@
-"""Exception types and the input checks shared across the package."""
+"""Exception types, and the input checks and text-file read shared across the package."""
 
 import math
 
@@ -49,6 +49,8 @@ def checked(value, name: str, above=None, below=None, at_least=None) -> float:
         out = float(value)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:  # an integer past the float range, whose repr may itself fail
+        raise DomainError(f"{name} must be finite, got a number past the float range") from None
     if not math.isfinite(out):
         raise DomainError(f"{name} must be finite, got {value!r}")
     if above is not None and out <= above:
@@ -96,3 +98,13 @@ def checked_points(points, label: str) -> tuple[tuple[float, float], ...]:
         raise DomainError(f"{label} times {first!r} and {last!r} are too far apart: "
                           "their difference overflows")
     return pts
+
+
+def read_text(path, what: str) -> str:
+    """The text of the UTF-8 file at path; a DomainError naming it as what when it cannot
+    be opened, read or decoded."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {what} {path}: {exc}") from None

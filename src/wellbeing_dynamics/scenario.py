@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from .core import ScenarioParams
 from .dynamics import (DEFAULT_STEP, ExponentialIncome, IncomeModel, LinearIncome,
                        TabulatedIncome, uniform_grid)
-from .errors import DomainError, checked
+from .errors import DomainError, checked, read_text
 from .regime import DEFAULT_EPSILON
 
 #: file key -> ScenarioParams field; only "lambda", a Python keyword, is renamed
@@ -80,7 +80,8 @@ class Scenario:
 def _require_number(value, key: str, origin: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{origin}: key '{key}' must be a number, got {value!r}")
-    return float(value)
+    # An int may lie past the float range: checked refuses it under the key's name.
+    return checked(value, f"{origin}: key '{key}'") if isinstance(value, int) else float(value)
 
 
 def _check_keys(block, allowed: set, origin: str, where: str) -> None:
@@ -153,14 +154,10 @@ def _parse_numerics(block, origin: str) -> NumericsOptions:
 
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario file."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise DomainError(f"cannot read scenario file {path}: {exc}") from None
+    text = read_text(path, "scenario file")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, or too deep nesting
         raise DomainError(f"{path}: invalid JSON: {exc}") from None
     return parse_scenario(doc, origin=str(path))
 

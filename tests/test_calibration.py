@@ -1,4 +1,4 @@
-"""Growth-rate fitting, inequality summaries, and the bundled dataset."""
+"""Growth-rate fitting, scenario assembly, series files, and the bundled dataset."""
 
 from __future__ import annotations
 
@@ -11,17 +11,12 @@ import pytest
 from wellbeing_dynamics import (
     CHILE_DECADE_MEAN_GROWTH,
     CHILE_GDP_PROJECTION_2019,
-    CHILE_INEQUALITY_RECORDS,
-    CHILE_PUBLISHED_SUMMARIES,
     DomainError,
     IncomeSeries,
-    Indicator,
-    InequalityRecord,
     chile_gdp_series,
     fit_growth_rate,
     read_income_series,
     scenario_from_data,
-    summarize_inequality,
 )
 from conftest import uniform
 
@@ -46,11 +41,6 @@ class TestIncomeSeries:
     def test_rejects_nonpositive_incomes(self):
         with pytest.raises(DomainError):
             IncomeSeries(((2000.0, 1.0), (2001.0, 0.0)))
-
-    def test_accessors(self):
-        s = IncomeSeries(((2000, 5064), (2018, 18592)))
-        assert s.times == (2000.0, 2018.0)
-        assert s.incomes == (5064.0, 18592.0)
 
 
 class TestFitGrowthRate:
@@ -150,50 +140,6 @@ class TestFitGrowthRate:
         fit = fit_growth_rate(IncomeSeries(pts))
         assert fit.residual > 0.01
         assert 0.0 < fit.lam < 0.2
-
-
-class TestInequalityRecords:
-    def test_gini_bounds(self):
-        with pytest.raises(DomainError):
-            InequalityRecord(Indicator.GINI, 1990, 1.2)
-        with pytest.raises(DomainError):
-            InequalityRecord(Indicator.GINI, 1990, 0.0)
-
-    def test_indicator_must_be_an_indicator(self):
-        with pytest.raises(DomainError) as exc_info:
-            InequalityRecord("Gini", 1990, 0.5)
-        assert str(exc_info.value) == "indicator must be an Indicator, got 'Gini'"
-
-    def test_ratio_at_least_one(self):
-        with pytest.raises(DomainError):
-            InequalityRecord(Indicator.Q5Q1, 1990, 0.8)
-        assert InequalityRecord(Indicator.PALMA, 2013, 2.96).value == 2.96
-
-    def test_summary_of_bundled_quintile_records(self):
-        s = summarize_inequality(CHILE_INEQUALITY_RECORDS, Indicator.Q5Q1)
-        assert s.count == 2
-        assert s.mean == pytest.approx((14.8 + 11.6) / 2, rel=1e-12)
-        assert s.minimum == 11.6
-        assert s.maximum == 14.8
-
-    def test_single_record_summary(self):
-        recs = (InequalityRecord(Indicator.GINI, 1990, 0.521),)
-        s = summarize_inequality(recs, Indicator.GINI)
-        assert s.count == 1
-        assert s.mean == s.minimum == s.maximum == 0.521
-
-    def test_empty_selection_rejected(self):
-        with pytest.raises(DomainError, match="no records"):
-            summarize_inequality(CHILE_INEQUALITY_RECORDS, Indicator.D10D1)
-
-    def test_published_summary_constants(self):
-        by_ind = {s.indicator: s for s in CHILE_PUBLISHED_SUMMARIES}
-        q = by_ind[Indicator.Q5Q1]
-        assert (q.mean, q.minimum, q.maximum) == (14.5, 13.2, 15.5)
-        d = by_ind[Indicator.D10D1]
-        assert (d.mean, d.minimum, d.maximum) == (32.7, 27.9, 38.5)
-        assert q.minimum <= q.mean <= q.maximum
-        assert d.minimum <= d.mean <= d.maximum
 
 
 class TestBundledData:

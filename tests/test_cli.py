@@ -94,12 +94,21 @@ class TestClassify:
         assert "lamda" in r.stderr
         assert r.stdout == ""
 
-    def test_malformed_json_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("content,message", [
+        (b"{broken", "invalid JSON"),
+        (b"\xff\xfe{}", "cannot read scenario file"),
+        # json.loads refuses an integer literal past 4,300 digits with a plain ValueError.
+        (b"1" * 5000, "invalid JSON"),
+        (b"[" * 100_000, "invalid JSON"),  # RecursionError
+        (json.dumps(dict(BASE, a=10**400)).encode(), "key 'a' must be finite"),
+    ], ids=["syntax", "not UTF-8", "5000 digits", "deep nesting", "int past the float range"])
+    def test_malformed_json_exits_2(self, tmp_path, content, message):
         f = tmp_path / "bad.json"
-        f.write_text("{broken")
+        f.write_bytes(content)
         r = run_cli("classify", "--scenario", str(f))
         assert r.returncode == 2
-        assert "error:" in r.stderr
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+        assert message in r.stderr
 
     def test_missing_file_exits_2(self, tmp_path):
         r = run_cli("classify", "--scenario", str(tmp_path / "none.json"))
@@ -680,12 +689,17 @@ class TestCalibrate:
         assert (rep["lambda"], rep["p0"]) == (lam, "1")
         assert float(rep["residual"]) < 1e-15
 
-    def test_bad_series_file_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("content,message", [
+        (b"2000 5064\n2001 5100 extra\n", "line 2"),
+        (b"\xff\xfe2000 5064\n", "cannot read series file"),
+    ], ids=["three columns", "not UTF-8"])
+    def test_bad_series_file_exits_2(self, tmp_path, content, message):
         f = tmp_path / "bad.txt"
-        f.write_text("2000 5064\n2001 5100 extra\n")
+        f.write_bytes(content)
         r = run_cli("calibrate", "--series", str(f))
         assert r.returncode == 2
-        assert "line 2" in r.stderr
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+        assert message in r.stderr
 
 
 class TestDeterminism:

@@ -59,7 +59,8 @@ class TestScenarioParams:
     @pytest.mark.parametrize("field", [
         "a", "a_star", "b", "b_star", "lam", "n", "B0", "B0_star", "p0",
     ])
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan,
+                                     pytest.param(10**400, id="10**400")])
     def test_rejects_nonpositive_and_nonfinite(self, field, bad):
         with pytest.raises(DomainError, match=field.replace("_", ".")):
             replace(SYM, **{field: bad})

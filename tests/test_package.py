@@ -14,26 +14,23 @@ import pytest
 import wellbeing_dynamics as wd
 from conftest import SRC
 
-#: __all__ as the package has always listed it: Dominance before DomainError.
+#: __all__ in its order: sorted, except that Dominance comes before DomainError.
 ALL = """
-    Band Behavior BracketCheck CHILE_DECADE_MEAN_GROWTH CHILE_GDP_PROJECTION_2019
-    CHILE_INEQUALITY_RECORDS CHILE_PUBLISHED_SUMMARIES Dominance DomainError ExponentialIncome
-    FeasibilityRecord GrowthCase GrowthFit IncomeModel IncomeSeries Indicator InequalityRecord
-    InequalitySummary IntegrationError LinearIncome NumericsOptions PublishedSummary
-    QuadratureError RatioAnalysis RegimeReport Scenario ScenarioParams SweepSpec TabulatedIncome
-    Trajectory WellbeingError chile_gdp_series classify closed_form_B closed_form_B_star
-    cross_validate double_positive_interval exponent_g exponent_g_star fit_growth_rate
-    general_wellbeing growth_case integrate load_scenario low_band_feasibility parse_scenario
-    parse_sweep ratio_analysis read_income_series relative_value scenario_from_data
-    summarize_inequality time_grid verify_nhat_bracketing wellbeing_ratio
+    Band Behavior BracketCheck CHILE_DECADE_MEAN_GROWTH CHILE_GDP_PROJECTION_2019 Dominance
+    DomainError ExponentialIncome FeasibilityRecord GrowthCase GrowthFit IncomeModel
+    IncomeSeries IntegrationError LinearIncome NumericsOptions QuadratureError RatioAnalysis
+    RegimeReport Scenario ScenarioParams SweepSpec TabulatedIncome Trajectory WellbeingError
+    chile_gdp_series classify closed_form_B closed_form_B_star cross_validate
+    double_positive_interval exponent_g exponent_g_star fit_growth_rate general_wellbeing
+    growth_case integrate load_scenario low_band_feasibility parse_scenario parse_sweep
+    ratio_analysis read_income_series relative_value scenario_from_data time_grid
+    verify_nhat_bracketing wellbeing_ratio
 """.split()
 
 #: The submodule that defines each public name.
 HOMES = {
-    "calibration": """CHILE_DECADE_MEAN_GROWTH CHILE_GDP_PROJECTION_2019 CHILE_INEQUALITY_RECORDS
-        CHILE_PUBLISHED_SUMMARIES GrowthFit IncomeSeries Indicator InequalityRecord
-        InequalitySummary PublishedSummary chile_gdp_series fit_growth_rate read_income_series
-        scenario_from_data summarize_inequality""",
+    "calibration": """CHILE_DECADE_MEAN_GROWTH CHILE_GDP_PROJECTION_2019 GrowthFit IncomeSeries
+        chile_gdp_series fit_growth_rate read_income_series scenario_from_data""",
     "core": """RatioAnalysis ScenarioParams closed_form_B closed_form_B_star exponent_g
         exponent_g_star general_wellbeing ratio_analysis relative_value wellbeing_ratio""",
     "dynamics": """ExponentialIncome IncomeModel LinearIncome TabulatedIncome Trajectory
