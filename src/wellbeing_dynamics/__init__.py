@@ -22,13 +22,12 @@ _HOMES = {
     "ScenarioParams": "core", "SweepSpec": "scenario", "TabulatedIncome": "dynamics",
     "Trajectory": "dynamics", "WellbeingError": "errors", "chile_gdp_series": "calibration",
     "classify": "regime", "closed_form_B": "core", "closed_form_B_star": "core",
-    "cross_validate": "dynamics", "double_positive_interval": "regime", "exponent_g": "core",
-    "exponent_g_star": "core", "fit_growth_rate": "calibration", "general_wellbeing": "core",
-    "growth_case": "regime", "integrate": "dynamics", "load_scenario": "scenario",
-    "low_band_feasibility": "regime", "parse_scenario": "scenario", "parse_sweep": "scenario",
-    "ratio_analysis": "core", "read_income_series": "calibration", "relative_value": "core",
-    "scenario_from_data": "calibration", "time_grid": "dynamics",
-    "verify_nhat_bracketing": "regime", "wellbeing_ratio": "core",
+    "cross_validate": "dynamics", "exponent_g": "core", "exponent_g_star": "core",
+    "fit_growth_rate": "calibration", "general_wellbeing": "core", "growth_case": "regime",
+    "integrate": "dynamics", "load_scenario": "scenario", "low_band_feasibility": "regime",
+    "parse_scenario": "scenario", "parse_sweep": "scenario", "ratio_analysis": "core",
+    "read_income_series": "calibration", "scenario_from_data": "calibration",
+    "time_grid": "dynamics", "verify_nhat_bracketing": "regime", "wellbeing_ratio": "core",
 }
 
 __all__ = list(_HOMES)

@@ -72,20 +72,18 @@ def fit_growth_rate(series: IncomeSeries) -> GrowthFit:
 
 
 def scenario_from_data(
-    series: IncomeSeries, n_estimate: float, a: float, a_star: float, b: float, b_star: float
+    fit: GrowthFit, n_estimate: float, a: float, a_star: float, b: float, b_star: float
 ) -> ScenarioParams:
-    """Assemble scenario parameters from a fitted series.
+    """Assemble scenario parameters from a growth fit.
 
     lam and p0 come from the fit, t0 is the first sample time, and the
     initial well-being of both groups is 1 by convention. Sensitivities
     are user inputs; no data in scope identifies them.
 
     Raises:
-        DomainError: when the series cannot be fitted, the fitted growth
-            rate is not positive, or the supplied n_estimate / sensitivities
-            are invalid.
+        DomainError: when the fitted growth rate is not positive, or the
+            supplied n_estimate / sensitivities are invalid.
     """
-    fit = fit_growth_rate(series)
     if fit.lam <= 0.0:
         raise DomainError(
             f"fitted growth rate {fit.lam} is not positive; cannot assemble a scenario"

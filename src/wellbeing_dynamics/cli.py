@@ -19,7 +19,7 @@ from .core import (ScenarioParams, closed_form_B, closed_form_B_star, exponent_g
                    exponent_g_star, incomes, ratio_analysis, sign_quadratic)
 from .dynamics import integrate, max_relative_deviation, time_grid
 from .errors import DomainError, IntegrationError, QuadratureError, checked
-from .regime import classify, coefficient_labels
+from .regime import checked_epsilon, classify, coefficient_labels
 from .scenario import PARAM_KEYS, SWEEPABLE, load_scenario, parse_sweep, scenario_text, with_param
 
 
@@ -27,7 +27,7 @@ def _tolerance(args: argparse.Namespace, scenario) -> float:
     """--tolerance when given, else the scenario's numerics.epsilon."""
     if args.tolerance is None:
         return scenario.numerics.epsilon
-    return checked(args.tolerance, "--tolerance", above=0.0, below=1.0)
+    return checked_epsilon(args.tolerance, "--tolerance")
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -127,20 +127,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    if args.write_scenario is not None and args.n is None:
+        raise DomainError("--n is required when --write-scenario is given")
     series = read_income_series(args.series)
     fit = fit_growth_rate(series)
-    print(f"lambda: {fit.lam:.12g}")
-    print(f"p0: {fit.p0:.12g}")
-    print(f"residual: {fit.residual:.12g}")
-    print(f"points: {len(series.points)}")
-    if args.write_scenario is not None:
-        if args.n is None:
-            raise DomainError("--n is required when --write-scenario is given")
+    lines = [f"lambda: {fit.lam:.12g}", f"p0: {fit.p0:.12g}",
+             f"residual: {fit.residual:.12g}", f"points: {len(series.points)}"]
+    if args.write_scenario is not None:  # nothing is printed unless the write succeeds
         params = scenario_from_data(
-            series, args.n, a=args.a, a_star=args.a_star, b=args.b, b_star=args.b_star
+            fit, args.n, a=args.a, a_star=args.a_star, b=args.b, b_star=args.b_star
         )
         _write_table(args.write_scenario, [scenario_text(params)])
-        print(f"scenario_written: {args.write_scenario}")
+        lines.append(f"scenario_written: {args.write_scenario}")
+    print("\n".join(lines))
     return 0
 
 

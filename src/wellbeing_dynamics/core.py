@@ -83,12 +83,6 @@ def _elapsed(params: ScenarioParams, t) -> float:
     return t - params.t0
 
 
-def relative_value(x) -> float:
-    """Fold a positive ratio onto [1, inf): x when x >= 1, else 1/x."""
-    x = checked(x, "x", above=0.0)
-    return x if x >= 1.0 else 1.0 / x
-
-
 def exponent_g(params: ScenarioParams) -> float:
     """Net exponential rate a*lam - b*n of group G under exponential income."""
     return params.a * params.lam - params.b * params.n

@@ -105,8 +105,10 @@ class BracketCheck:
     passed: bool
 
 
-def _checked_epsilon(epsilon) -> float:
-    return checked(epsilon, "epsilon", above=0.0, below=1.0)
+def checked_epsilon(value, name: str = "epsilon") -> float:
+    """value as a relative tolerance in [1e-15, 1), the one rule for every tolerance. Below
+    the floor, the growth case's lam**2 test can disagree with the boundary floats' order."""
+    return checked(value, name, above=0.0, below=1.0, at_least=1e-15)
 
 
 def _underflow(label: str, x: float, y: float) -> DomainError:
@@ -134,7 +136,7 @@ def _growth_case(a, a_star, b, b_star, lam, epsilon: float) -> GrowthCase:
 def growth_case(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> GrowthCase:
     """Compare lam**2 against b*b_star/(a*a_star) with relative tolerance."""
     p = params
-    return _growth_case(p.a, p.a_star, p.b, p.b_star, p.lam, _checked_epsilon(epsilon))
+    return _growth_case(p.a, p.a_star, p.b, p.b_star, p.lam, checked_epsilon(epsilon))
 
 
 def coefficient_labels(a: float, a_star: float, b: float, b_star: float, lam: float,
@@ -184,7 +186,7 @@ def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Regime
     them, with a Constant behavior reported as Boundary. Dominance
     compares n against n_hat under the equal-start convention.
     """
-    epsilon = _checked_epsilon(epsilon)
+    epsilon = checked_epsilon(epsilon)
     case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star = regime_labels(
         params, epsilon
     )
@@ -224,24 +226,11 @@ def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Regime
     )
 
 
-def double_positive_interval(
-    params: ScenarioParams, epsilon: float = DEFAULT_EPSILON
-) -> tuple[float, float] | None:
-    """Open interval of n where both groups' well-being grows.
-
-    Present exactly when the growth case is HighGrowth, i.e. when
-    b_star/(a_star*lam) < a*lam/b strictly; the Critical case has a
-    degenerate (empty) interval and returns None.
-    """
-    case, boundary_g, boundary_g_star = regime_labels(params, _checked_epsilon(epsilon))[:3]
-    return (boundary_g_star, boundary_g) if case is GrowthCase.HIGH else None
-
-
 def low_band_feasibility(
     params: ScenarioParams, epsilon: float = DEFAULT_EPSILON
 ) -> FeasibilityRecord:
     """Report whether {n : 1 <= n < Low band's upper edge} is nonempty."""
-    case, boundary_g, boundary_g_star = regime_labels(params, _checked_epsilon(epsilon))[:3]
+    case, boundary_g, boundary_g_star = regime_labels(params, checked_epsilon(epsilon))[:3]
     low_band_upper = min(boundary_g, boundary_g_star)
     return FeasibilityRecord(
         growth_case=case,
@@ -265,7 +254,7 @@ def verify_nhat_bracketing(
         DomainError: for the Critical case, where the middle band
             collapses and the check does not apply.
     """
-    epsilon = _checked_epsilon(epsilon)
+    epsilon = checked_epsilon(epsilon)
     case, boundary_g, boundary_g_star = regime_labels(params, epsilon)[:3]
     if case is GrowthCase.CRITICAL:
         raise DomainError("bracketing check does not apply to the Critical growth case")

@@ -2,8 +2,8 @@
 
 Scenario files are JSON objects with the ten parameter keys, an
 optional income_model override, and an optional numerics block. The
-schema is strict: unknown keys anywhere are rejected with a diagnostic
-naming the key, so a typo in a parameter name can never pass silently.
+schema is strict: unknown or repeated keys anywhere are rejected with a
+diagnostic naming the key, so a typo or a second value never passes silently.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .core import ScenarioParams
 from .dynamics import (DEFAULT_STEP, ExponentialIncome, IncomeModel, LinearIncome,
                        TabulatedIncome, uniform_grid)
 from .errors import DomainError, checked, read_text
-from .regime import DEFAULT_EPSILON
+from .regime import DEFAULT_EPSILON, checked_epsilon
 
 #: file key -> ScenarioParams field; only "lambda", a Python keyword, is renamed
 PARAM_KEYS = {
@@ -46,9 +46,8 @@ class NumericsOptions:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
-        for name, below in (("step", None), ("epsilon", 1.0)):
-            value = checked(getattr(self, name), f"numerics key '{name}'", above=0.0, below=below)
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "step", checked(self.step, "numerics key 'step'", above=0.0))
+        object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon, "numerics key 'epsilon'"))
 
 
 @dataclass(frozen=True)
@@ -152,11 +151,21 @@ def _parse_numerics(block, origin: str) -> NumericsOptions:
     return NumericsOptions(**values)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a DomainError naming a key that repeats."""
+    block = {}
+    for key, value in pairs:
+        if key in block:
+            raise DomainError(f"duplicate key {key!r}")
+        block[key] = value
+    return block
+
+
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario file."""
     text = read_text(path, "scenario file")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # also too many digits, or too deep nesting
         raise DomainError(f"{path}: invalid JSON: {exc}") from None
     return parse_scenario(doc, origin=str(path))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wellbeing_dynamics import ScenarioParams, cli, core, regime
+from wellbeing_dynamics import ScenarioParams, calibration, cli, core, regime
 from wellbeing_dynamics.errors import DomainError
 from wellbeing_dynamics.scenario import (PARAM_KEYS, SWEEPABLE, parse_scenario, parse_sweep,
                                          scenario_text, with_param)
@@ -101,7 +101,14 @@ class TestClassify:
         (b"1" * 5000, "invalid JSON"),
         (b"[" * 100_000, "invalid JSON"),  # RecursionError
         (json.dumps(dict(BASE, a=10**400)).encode(), "key 'a' must be finite"),
-    ], ids=["syntax", "not UTF-8", "5000 digits", "deep nesting", "int past the float range"])
+        # A repeated key in any object: json.loads would keep the last value.
+        (json.dumps(BASE)[:-1].encode() + b', "n": 0.5}', "duplicate key 'n'"),
+        (json.dumps(dict(BASE, income_model={"type": "linear", "slope": 1.0}))[:-2].encode()
+         + b', "slope": 2.0}}', "duplicate key 'slope'"),
+        (json.dumps(dict(BASE, numerics={"step": 0.1}))[:-2].encode() + b', "step": 0.2}}',
+         "duplicate key 'step'"),
+    ], ids=["syntax", "not UTF-8", "5000 digits", "deep nesting", "int past the float range",
+            "repeated key", "repeated income_model key", "repeated numerics key"])
     def test_malformed_json_exits_2(self, tmp_path, content, message):
         f = tmp_path / "bad.json"
         f.write_bytes(content)
@@ -114,9 +121,16 @@ class TestClassify:
         r = run_cli("classify", "--scenario", str(tmp_path / "none.json"))
         assert r.returncode == 2
 
-    def test_bad_tolerance_exits_2(self, scenario):
+    def test_bad_tolerance_exits_2(self, scenario, tmp_path):
         r = run_cli("classify", "--scenario", scenario, "--tolerance", "2.0")
         assert r.returncode == 2
+        # Below the floor of 1e-15 the growth case could contradict the boundaries' order.
+        out = str(tmp_path / "sweep.csv")
+        for argv in (["classify", "--scenario", scenario],
+                     ["sweep", "--scenario", scenario, "--vary", "n=1:2:0.5", "--out", out]):
+            r = run_cli(*argv, "--tolerance", "1e-16")
+            assert (r.returncode, r.stdout) == (2, "")
+            assert r.stderr == "error: --tolerance must be >= 1e-15, got 1e-16\n"
 
     def test_numerics_epsilon_is_the_default_tolerance(self, tmp_path):
         # n = 2.1 lies 5% above boundary_g = a*lambda/b = 2.
@@ -640,7 +654,7 @@ class TestCalibrate:
     def test_write_scenario_requires_n(self, tmp_path, gdp):
         r = run_cli("calibrate", "--series", gdp,
                     "--write-scenario", str(tmp_path / "x.json"))
-        assert r.returncode == 2
+        assert (r.returncode, r.stdout) == (2, "")
         assert "--n" in r.stderr
 
     def test_write_scenario_into_missing_directory_exits_2(self, tmp_path, gdp):
@@ -648,17 +662,25 @@ class TestCalibrate:
         target = tmp_path / "missing" / "f.json"
         r = run_cli("calibrate", "--series", gdp,
                     "--write-scenario", str(target), "--n", "2")
-        assert r.returncode == 2
+        # Nothing is printed unless the write succeeds: no fit lines before the error.
+        assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr.startswith(f"error: cannot write output file {target}: ")
         assert "Traceback" not in r.stderr
+
+    def test_one_fit_per_run(self, tmp_path, gdp, monkeypatch):
+        fits = count_calls(monkeypatch, (cli, calibration), "fit_growth_rate")
+        r = run_cli("calibrate", "--series", gdp,
+                    "--write-scenario", str(tmp_path / "f.json"), "--n", "2")
+        assert r.returncode == 0
+        assert len(fits) == 1
 
     def test_flat_series_assembly_refused(self, tmp_path):
         series = write_series(tmp_path / "flat.txt", [(2000, 750), (2001, 750), (2002, 750)])
         r = run_cli("calibrate", "--series", series,
                     "--write-scenario", str(tmp_path / "x.json"), "--n", "2")
-        assert r.returncode == 2
-        rep = parse_report(r.stdout)
-        assert float(rep["lambda"]) == 0.0
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == ("error: fitted growth rate 0.0 is not positive; "
+                            "cannot assemble a scenario\n")
 
     @pytest.mark.parametrize("rows,message", [
         # The span is inf: the fit used to print lambda, p0 and residual as nan and exit 0.

@@ -22,7 +22,6 @@ from wellbeing_dynamics import (
     exponent_g_star,
     general_wellbeing,
     ratio_analysis,
-    relative_value,
     wellbeing_ratio,
 )
 from conftest import draw_params, uniform
@@ -77,39 +76,6 @@ class TestScenarioParams:
     def test_rejects_nonnumeric(self):
         with pytest.raises(DomainError):
             replace(SYM, a="fast")
-
-
-class TestRelativeValue:
-    def test_unity(self):
-        assert relative_value(1.0) == 1.0
-
-    def test_reciprocal_below_one(self):
-        assert relative_value(0.5) == 2.0
-
-    def test_identity_above_one(self):
-        assert relative_value(14.8) == 14.8
-
-    @pytest.mark.parametrize("bad", [0.0, -3.0, math.inf, math.nan])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(DomainError):
-            relative_value(bad)
-
-    @given(st.floats(min_value=1e-12, max_value=1e12))
-    def test_always_at_least_one(self, x):
-        assert relative_value(x) >= 1.0
-
-    @given(st.floats(min_value=1e-6, max_value=1e6))
-    def test_reciprocal_symmetry(self, x):
-        assert math.isclose(relative_value(x), relative_value(1.0 / x),
-                            rel_tol=1e-12)
-
-    @given(st.floats(min_value=0.1, max_value=10.0),
-           st.floats(min_value=0.1, max_value=10.0),
-           st.floats(min_value=0.01, max_value=100.0))
-    def test_scale_invariance(self, p, q, c):
-        # Rescaling both incomes leaves the relative gap unchanged.
-        assert math.isclose(relative_value((c * q) / (c * p)),
-                            relative_value(q / p), rel_tol=1e-12)
 
 
 class TestExponents:

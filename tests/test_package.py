@@ -20,11 +20,10 @@ ALL = """
     DomainError ExponentialIncome FeasibilityRecord GrowthCase GrowthFit IncomeModel
     IncomeSeries IntegrationError LinearIncome NumericsOptions QuadratureError RatioAnalysis
     RegimeReport Scenario ScenarioParams SweepSpec TabulatedIncome Trajectory WellbeingError
-    chile_gdp_series classify closed_form_B closed_form_B_star cross_validate
-    double_positive_interval exponent_g exponent_g_star fit_growth_rate general_wellbeing
-    growth_case integrate load_scenario low_band_feasibility parse_scenario parse_sweep
-    ratio_analysis read_income_series relative_value scenario_from_data time_grid
-    verify_nhat_bracketing wellbeing_ratio
+    chile_gdp_series classify closed_form_B closed_form_B_star cross_validate exponent_g
+    exponent_g_star fit_growth_rate general_wellbeing growth_case integrate load_scenario
+    low_band_feasibility parse_scenario parse_sweep ratio_analysis read_income_series
+    scenario_from_data time_grid verify_nhat_bracketing wellbeing_ratio
 """.split()
 
 #: The submodule that defines each public name.
@@ -32,12 +31,12 @@ HOMES = {
     "calibration": """CHILE_DECADE_MEAN_GROWTH CHILE_GDP_PROJECTION_2019 GrowthFit IncomeSeries
         chile_gdp_series fit_growth_rate read_income_series scenario_from_data""",
     "core": """RatioAnalysis ScenarioParams closed_form_B closed_form_B_star exponent_g
-        exponent_g_star general_wellbeing ratio_analysis relative_value wellbeing_ratio""",
+        exponent_g_star general_wellbeing ratio_analysis wellbeing_ratio""",
     "dynamics": """ExponentialIncome IncomeModel LinearIncome TabulatedIncome Trajectory
         cross_validate integrate time_grid""",
     "errors": "DomainError IntegrationError QuadratureError WellbeingError",
     "regime": """Band Behavior BracketCheck Dominance FeasibilityRecord GrowthCase RegimeReport
-        classify double_positive_interval growth_case low_band_feasibility verify_nhat_bracketing""",
+        classify growth_case low_band_feasibility verify_nhat_bracketing""",
     "scenario": "NumericsOptions Scenario SweepSpec load_scenario parse_scenario parse_sweep",
 }
 

@@ -19,7 +19,6 @@ from wellbeing_dynamics import (
     GrowthCase,
     ScenarioParams,
     classify,
-    double_positive_interval,
     exponent_g,
     exponent_g_star,
     growth_case,
@@ -67,7 +66,7 @@ class TestGrowthCase:
         lam = math.sqrt(0.2 * 0.2 / 1.0)
         p = replace(LOW, lam=lam * (1.0 + 1e-12))
         assert growth_case(p) is GrowthCase.CRITICAL
-        assert growth_case(p, epsilon=1e-30) is not GrowthCase.CRITICAL
+        assert growth_case(p, epsilon=1e-14) is not GrowthCase.CRITICAL
 
     def test_epsilon_validated(self):
         with pytest.raises(DomainError):
@@ -208,25 +207,27 @@ class TestTableFidelity:
             assert exponent_g_star(replace(p, n=big)) > 0
 
 
-class TestDoublePositiveInterval:
+class TestIntervalJ:
+    """classify's interval_j: the n where both groups' well-being grows."""
+
     def test_high_growth_interval(self):
-        j = double_positive_interval(HIGH)
+        j = classify(HIGH).interval_j
         assert j is not None
         assert j[0] == pytest.approx(0.5, rel=1e-12)
         assert j[1] == pytest.approx(2.0, rel=1e-12)
 
     def test_low_growth_absent(self):
-        assert double_positive_interval(LOW) is None
+        assert classify(LOW).interval_j is None
 
     def test_critical_absent(self):
         p = replace(LOW, lam=math.sqrt(0.04))
-        assert double_positive_interval(p) is None
+        assert classify(p).interval_j is None
 
     def test_presence_iff_high_growth(self):
         rng = random.Random(19)
         for _ in range(500):
             p = draw_params(rng)
-            j = double_positive_interval(p)
+            j = classify(p).interval_j
             if growth_case(p) is GrowthCase.HIGH:
                 assert j is not None and j[0] < j[1]
                 # Midpoint of J: both groups grow without bound.
@@ -237,22 +238,22 @@ class TestDoublePositiveInterval:
                 assert j is None
 
     def test_interval_monotone_in_coefficients(self):
-        base = double_positive_interval(HIGH)
+        base = classify(HIGH).interval_j
 
-        wider_lam = double_positive_interval(replace(HIGH, lam=0.11))
+        wider_lam = classify(replace(HIGH, lam=0.11)).interval_j
         assert wider_lam[0] < base[0] and wider_lam[1] > base[1]
 
-        higher_a = double_positive_interval(replace(HIGH, a=1.1))
+        higher_a = classify(replace(HIGH, a=1.1)).interval_j
         assert higher_a[1] > base[1] and higher_a[0] == base[0]
 
         # Raising the loss coefficient b shrinks the interval from the right.
-        higher_b = double_positive_interval(replace(HIGH, b=0.06))
+        higher_b = classify(replace(HIGH, b=0.06)).interval_j
         assert higher_b[1] < base[1] and higher_b[0] == base[0]
 
-        higher_b_star = double_positive_interval(replace(HIGH, b_star=0.06))
+        higher_b_star = classify(replace(HIGH, b_star=0.06)).interval_j
         assert higher_b_star[0] > base[0] and higher_b_star[1] == base[1]
 
-        higher_a_star = double_positive_interval(replace(HIGH, a_star=1.1))
+        higher_a_star = classify(replace(HIGH, a_star=1.1)).interval_j
         assert higher_a_star[0] < base[0] and higher_a_star[1] == base[1]
 
 
@@ -417,8 +418,7 @@ class TestRegimeLabels:
     ])
     def test_underflowed_product_named(self, fields, product):
         p = replace(HIGH, **fields)
-        calls = [classify, double_positive_interval, low_band_feasibility,
-                 verify_nhat_bracketing]
+        calls = [classify, low_band_feasibility, verify_nhat_bracketing]
         if product == "a * a_star":  # growth_case forms no boundary
             calls.append(growth_case)
         for call in calls:
@@ -426,8 +426,7 @@ class TestRegimeLabels:
                 call(p)
 
 
-PUBLIC = (classify, growth_case, double_positive_interval,
-          low_band_feasibility, verify_nhat_bracketing)
+PUBLIC = (classify, growth_case, low_band_feasibility, verify_nhat_bracketing)
 
 
 class TestEpsilonCheckedOnce:
@@ -450,11 +449,73 @@ class TestEpsilonCheckedOnce:
         (1.0, "epsilon must be < 1, got 1.0"),
         (math.nan, "epsilon must be finite, got nan"),
         (math.inf, "epsilon must be finite, got inf"),
+        (1e-16, "epsilon must be >= 1e-15, got 1e-16"),
     ])
     def test_rejected_with_message(self, call, epsilon, message):
         with pytest.raises(DomainError) as exc:
             call(HIGH, epsilon)
         assert str(exc.value) == message
+
+
+#: Four units in the last place: the bound of a float that two routes round differently.
+ULPS4 = 4 * 2.0**-52
+
+
+class TestToleranceFloor:
+    @given(a=coefficient, a_star=coefficient, b=coefficient, b_star=coefficient,
+           ulps=st.integers(-16, 16), epsilon=st.just(1e-15) | st.floats(1e-15, 4e-15))
+    @settings(max_examples=200)
+    def test_case_agrees_with_boundary_order(self, a, a_star, b, b_star, ulps, epsilon):
+        # lam within 16 ulp of the critical rate. Below the floor of 1e-15, lam**2 against
+        # b*b_star/(a*a_star) could call a case whose boundary floats order the other way.
+        lam = math.sqrt(b * b_star / (a * a_star))
+        for _ in range(abs(ulps)):
+            lam = math.nextafter(lam, math.copysign(math.inf, ulps))
+        r = classify(ScenarioParams(a=a, a_star=a_star, b=b, b_star=b_star, lam=lam, n=1.0,
+                                    B0=1.0, B0_star=1.0, p0=1.0), epsilon)
+        if r.growth_case is GrowthCase.HIGH:
+            assert r.boundary_g_star < r.boundary_g
+        elif r.growth_case is GrowthCase.LOW:
+            assert r.boundary_g < r.boundary_g_star
+
+
+@st.composite
+def power_of_two_params(draw):
+    """A scenario whose n is a power of two, often within a few tolerances of a boundary:
+    b or b_star is set so that boundary_g or boundary_g_star lands near n."""
+    p, epsilon = draw(labelled_params())
+    n = 2.0 ** draw(st.integers(-20, 20))
+    nudge = 1.0 + draw(st.floats(-3.0, 3.0)) * epsilon
+    anchor = draw(st.sampled_from(["free", "boundary_g", "boundary_g_star"]))
+    if anchor == "boundary_g":
+        p = replace(p, b=p.a * p.lam / n * nudge)
+    elif anchor == "boundary_g_star":
+        p = replace(p, b_star=p.a_star * p.lam * n * nudge)
+    return replace(p, n=n), epsilon
+
+
+class TestRoleSwap:
+    """Swapping (a, b) with (a_star, b_star) and n with 1/n swaps the two groups."""
+
+    MIRROR = {Band.LOW: Band.HIGH, Band.HIGH: Band.LOW,
+              Band.MEDIUM: Band.MEDIUM, Band.BOUNDARY: Band.BOUNDARY}
+
+    @given(labelled_params() | power_of_two_params())
+    @settings(max_examples=200)
+    def test_swap_mirrors_the_report(self, drawn):
+        p, epsilon = drawn
+        r = classify(p, epsilon)
+        s = classify(replace(p, a=p.a_star, a_star=p.a, b=p.b_star, b_star=p.b, n=1.0 / p.n),
+                     epsilon)
+        if math.frexp(p.n)[0] == 0.5:  # n is a power of two: 1/n is exact, and so is each label
+            assert (s.growth_case, s.band, s.behavior_g, s.behavior_g_star) == (
+                r.growth_case, self.MIRROR[r.band], r.behavior_g_star, r.behavior_g)
+        assert math.isclose(s.boundary_g, 1.0 / r.boundary_g_star, rel_tol=ULPS4)
+        assert math.isclose(s.boundary_g_star, 1.0 / r.boundary_g, rel_tol=ULPS4)
+        assert math.isclose(s.n_hat, 1.0 / r.n_hat, rel_tol=ULPS4)
+        # g_rate may cancel to near 0: bound it by the magnitude of its terms.
+        scale = abs((p.a - p.a_star) * p.lam) + p.b * p.n + p.b_star / p.n
+        assert abs(s.g_rate + r.g_rate) <= ULPS4 * scale
 
 
 class TestTimeTranslation:
