@@ -132,6 +132,13 @@ class TestClassify:
             assert (r.returncode, r.stdout) == (2, "")
             assert r.stderr == "error: --tolerance must be >= 1e-15, got 1e-16\n"
 
+    def test_numerics_epsilon_below_floor_exits_2(self, tmp_path):
+        sc = write_scenario(tmp_path / "e.json", numerics={"epsilon": 1e-16})
+        r = run_cli("classify", "--scenario", sc)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+        assert "numerics key 'epsilon' must be >= 1e-15, got 1e-16" in r.stderr
+
     def test_numerics_epsilon_is_the_default_tolerance(self, tmp_path):
         # n = 2.1 lies 5% above boundary_g = a*lambda/b = 2.
         sc = write_scenario(tmp_path / "e.json", n=2.1, numerics={"epsilon": 0.1})

@@ -456,6 +456,11 @@ class TestEpsilonCheckedOnce:
             call(HIGH, epsilon)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("call", PUBLIC, ids=lambda f: f.__name__)
+    def test_floor_is_inclusive(self, call):
+        # 1e-15 itself is a valid tolerance; only values below it are refused.
+        assert call(HIGH, 1e-15) == call(HIGH, 1e-9)
+
 
 #: Four units in the last place: the bound of a float that two routes round differently.
 ULPS4 = 4 * 2.0**-52

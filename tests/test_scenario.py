@@ -181,6 +181,13 @@ class TestNumericsBlock:
         with pytest.raises(DomainError):
             NumericsOptions(epsilon=1.0)
 
+    def test_epsilon_floor(self):
+        # The same rule as the library's epsilon and --tolerance, named for the key.
+        assert NumericsOptions(epsilon=1e-15).epsilon == 1e-15
+        with pytest.raises(DomainError) as exc:
+            NumericsOptions(epsilon=1e-16)
+        assert str(exc.value) == "numerics key 'epsilon' must be >= 1e-15, got 1e-16"
+
 
 class TestLoadScenario:
     def test_round_trip(self, tmp_path):
