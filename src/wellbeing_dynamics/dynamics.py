@@ -89,13 +89,16 @@ class LinearIncome:
 class TabulatedIncome:
     """Income path given by samples, log-linear between the nodes.
 
-    points must have strictly increasing times and positive values.
-    Node derivatives are centered finite differences (one-sided at the
-    ends), interpolated linearly between nodes. value and derivative
-    share one lookup: a range check and one bisect find either the node
-    at t, whose stored value or slope is returned exactly, or the
-    segment holding t with its weight. Queries outside the sampled range
-    are refused rather than extrapolated. nodes: the times, where it bends.
+    points must have strictly increasing times and positive values. On
+    the segment from node i to node i + 1, p'/p is its constant log-slope
+    ln(v_{i+1} / v_i) / (t_{i+1} - t_i), as in general_wellbeing; at a
+    node, derivative takes the segment after it, or with left the one
+    before it (an end node has one). value and derivative share one
+    lookup: a range check and one bisect find either the node at t, whose
+    stored value is returned exactly, or the segment holding t with its
+    weight, which derivative reuses after a value call at the same t.
+    Queries outside the sampled range are refused rather than
+    extrapolated. nodes: the times, where it bends.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -103,46 +106,45 @@ class TabulatedIncome:
     def __post_init__(self) -> None:
         pts = checked_points(self.points, "tabulated income")
         object.__setattr__(self, "points", pts)
-        times = [t for t, _ in pts]
         values = [v for _, v in pts]
-        slopes = [(values[1] - values[0]) / (times[1] - times[0])]
-        for i in range(1, len(pts) - 1):
-            slopes.append((values[i + 1] - values[i - 1]) / (times[i + 1] - times[i - 1]))
-        slopes.append((values[-1] - values[-2]) / (times[-1] - times[-2]))
-        # _ratios: each segment's values[i + 1] / values[i], None where not a normal float.
+        # _ratios: each segment's values[i + 1] / values[i], None where not a normal float;
+        # _rates: its log-slope, from the logarithms where the ratio is None.
         ratios = [v1 / v0 for v0, v1 in zip(values, values[1:])]
-        vars(self).update(nodes=tuple(times), _values=values, _slopes=slopes,
-                          _ratios=[r if _NORMAL <= r < math.inf else None for r in ratios])
+        ratios = [r if _NORMAL <= r < math.inf else None for r in ratios]
+        rates = [(math.log(r) if r else math.log(v1) - math.log(v0)) / (t1 - t0)
+                 for r, (t0, v0), (t1, v1) in zip(ratios, pts, pts[1:])]
+        vars(self).update(nodes=tuple(t for t, _ in pts), _values=values, _ratios=ratios,
+                          _rates=rates, _last=(None,))
 
-    def _locate(self, t: float) -> tuple[int, float | None]:
-        """(i, None) when t is node i, else (i, w) with t in segment i at weight w."""
+    def _sample(self, t: float) -> tuple[float, int, float | None, float]:
+        """(t, i, w, p(t)), kept as _last: w is None at node i, else t's weight in segment i."""
         times = self.nodes
         if not times[0] <= t <= times[-1]:
-            raise DomainError(
-                f"t = {t} outside the tabulated range [{times[0]}, {times[-1]}]"
-            )
+            raise DomainError(f"t = {t} outside the tabulated range [{times[0]}, {times[-1]}]")
         i = bisect_left(times, t)
+        values = self._values
         if times[i] == t:
-            return i, None
-        # times[i - 1] < t < times[i]; i >= 1 because t > times[0].
-        return i - 1, (t - times[i - 1]) / (times[i] - times[i - 1])
+            last = (t, i, None, values[i])
+        else:
+            i -= 1  # times[i] < t < times[i + 1]; i >= 0 because t > times[0].
+            w = (t - times[i]) / (times[i + 1] - times[i])
+            ratio = self._ratios[i]
+            if ratio is None:  # interpolate the logarithms instead, which stay in range
+                last = (t, i, w, math.exp((1.0 - w) * math.log(values[i])
+                                          + w * math.log(values[i + 1])))
+            else:
+                last = (t, i, w, values[i] * ratio ** w)
+        self.__dict__["_last"] = last
+        return last
 
     def value(self, t: float) -> float:
-        i, w = self._locate(t)
-        values = self._values
-        if w is None:
-            return values[i]
-        ratio = self._ratios[i]
-        if ratio is None:  # interpolate the logarithms instead, which stay in range
-            return math.exp((1.0 - w) * math.log(values[i]) + w * math.log(values[i + 1]))
-        return values[i] * ratio ** w
+        return self._sample(t)[3]
 
-    def derivative(self, t: float) -> float:
-        i, w = self._locate(t)
-        slopes = self._slopes
-        if w is None:
-            return slopes[i]
-        return slopes[i] + (slopes[i + 1] - slopes[i]) * w
+    def derivative(self, t: float, left: bool = False) -> float:
+        _, i, w, v = last if (last := self._last)[0] == t else self._sample(t)
+        if w is None and (left and i > 0 or i == len(self._rates)):
+            i -= 1  # node i: the segment before it
+        return v * self._rates[i]
 
     def scaled(self, n: float) -> TabulatedIncome:
         """The path n * p(t), sampled at the same nodes."""
@@ -255,14 +257,16 @@ def integrate(
         last = (times[-1], (cols_B[-1], cols_S[-1])) if times else (None, None)
         return IntegrationError(message, last_time=last[0], last_state=last[1])
 
-    def coefficients(t: float) -> tuple[float, float, float, float]:
+    def coefficients(t: float, left: bool = False) -> tuple[float, float, float, float]:
         # The only income call site: (c_B, c_S, p, q) at t, for the RHS (c_B * B, c_S * S).
+        # left: a step ends on a node at t; incomes with nodes take the rates left of it.
         try:
             pv, qv = p.value(t), q.value(t)
             if pv <= 0.0 or qv <= 0.0:
                 raise failure(f"non-positive income sample at t = {t}")
-            return (a * p.derivative(t) / pv - b * qv / pv,
-                    a_s * q.derivative(t) / qv - b_s * pv / qv, pv, qv)
+            dp = p.derivative(t, True) if left and p.nodes else p.derivative(t)
+            dq = q.derivative(t, True) if left and q.nodes else q.derivative(t)
+            return a * dp / pv - b * qv / pv, a_s * dq / qv - b_s * pv / qv, pv, qv
         except OverflowError:
             raise failure(INCOME_OVERFLOW % t) from None
 
@@ -280,10 +284,11 @@ def integrate(
 
     start = coefficients(params.t0)
     record(params.t0, params.B0, params.B0_star, start)
+    nodes = sorted({s for s in (*p.nodes, *q.nodes) if params.t0 < s <= t_end})
     if method == "rk4":
-        _run_rk4(coefficients, start, params, t_end, step, record)
+        _run_rk4(coefficients, start, params, t_end, step, record, nodes)
     else:
-        _run_rkf45(coefficients, params, t_end, step, tol, record)
+        _run_rkf45(coefficients, params, t_end, step, tol, record, nodes)
 
     return Trajectory(
         times=tuple(times),
@@ -297,26 +302,30 @@ def integrate(
     )
 
 
-def _run_rk4(coefficients, start, params: ScenarioParams, t_end, step, record) -> None:
-    # start: the coefficients at t0. k2 and k3 share the midpoint ones; those
-    # at t + h serve k4, the record and the next k1 unless t + h != t_next.
+def _run_rk4(coefficients, start, params: ScenarioParams, t_end, step, record, nodes=()) -> None:
+    # start: the coefficients at t0. k2 and k3 share the midpoint ones; those at t + h serve
+    # k4, the record and the next k1 unless t + h != t_next. nodes: the incomes' node times
+    # in (t0, t_end], where steps end too, k4 from the left and the next k1 from the right;
+    # one off the grid adds no row.
     grid = time_grid(params.t0, t_end, step)
+    rows, nodes = (set(grid), frozenset(nodes)) if nodes else ((), ())
     t = grid[0]
     B, S = params.B0, params.B0_star
-    for t_next in grid[1:]:
+    for t_next in sorted(rows | nodes)[1:] if nodes else grid[1:]:
         h = t_next - t
         c1B, c1S, _, _ = start
         c2B, c2S, _, _ = coefficients(t + 0.5 * h)
-        end = coefficients(t + h)
+        end = coefficients(t_next, True) if t_next in nodes else coefficients(t + h)
         k1B, k1S = c1B * B, c1S * S
         k2B, k2S = c2B * (B + 0.5 * h * k1B), c2S * (S + 0.5 * h * k1S)
         k3B, k3S = c2B * (B + 0.5 * h * k2B), c2S * (S + 0.5 * h * k2S)
         k4B, k4S = end[0] * (B + h * k3B), end[1] * (S + h * k3S)
         B += h / 6.0 * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
         S += h / 6.0 * (k1S + 2.0 * k2S + 2.0 * k3S + k4S)
-        start = end if t + h == t_next else coefficients(t_next)
+        start = end if t + h == t_next and t_next not in nodes else coefficients(t_next)
         t = t_next
-        record(t, B, S, start)
+        if not rows or t in rows:
+            record(t, B, S, start)
 
 
 # Fehlberg 4(5) tableau: nodes, stage weights, and the paired solution
@@ -334,12 +343,14 @@ _RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 
 _RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
 
 
-def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record) -> None:
+def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record, nodes=()) -> None:
     # Straight-line stages: sums add left to right, zero weights too. Stage 4 (t + h) is an
-    # accepted step's record, not the next stage 0: six evaluations an attempt.
+    # accepted step's record, not the next stage 0: six evaluations an attempt. nodes: as in
+    # _run_rk4. A step that would reach one ends on it, exempt from h_min, with stage 4 from
+    # the left; once accepted, the next step resumes the size it was cut from.
     step = checked(step, "step", above=0.0)
     tol = checked(tol, "tol", above=0.0)
-    c0, c1, c2, c3, c4, c5 = _RKF_C
+    c0, c1, c2, c3, _, c5 = _RKF_C
     _, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54) = _RKF_A
     b50, b51, b52, b53, b54, b55 = _RKF_B5
     b40, b41, b42, b43, b44, b45 = _RKF_B4
@@ -348,9 +359,14 @@ def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record) -
     h = min(step, span)
     h_min = 1e-14 * max(1.0, abs(params.t0), abs(t_end))
     tiny = 1e-12 * max(1.0, span)
+    nodes = iter(nodes)
+    node = next(nodes, math.inf)
     while t < t_end - tiny:
         h = min(h, t_end - t)
-        if h < h_min:
+        end = t + h
+        if end >= node:
+            wanted, h, end = h, node - t, node
+        elif h < h_min:
             raise IntegrationError(f"adaptive step underflow at t = {t} (h = {h})",
                                    last_time=t, last_state=(B, S))
         s0 = coefficients(t + c0 * h)
@@ -363,7 +379,7 @@ def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record) -
         s3 = coefficients(t + c3 * h)
         k3B = s3[0] * (B + h * (a30 * k0B + a31 * k1B + a32 * k2B))
         k3S = s3[1] * (S + h * (a30 * k0S + a31 * k1S + a32 * k2S))
-        s4 = coefficients(t + c4 * h)
+        s4 = coefficients(end) if end < node else coefficients(end, True)
         k4B = s4[0] * (B + h * (a40 * k0B + a41 * k1B + a42 * k2B + a43 * k3B))
         k4S = s4[1] * (S + h * (a40 * k0S + a41 * k1S + a42 * k2S + a43 * k3S))
         s5 = coefficients(t + c5 * h)
@@ -377,9 +393,12 @@ def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record) -
         scale_S = tol * max(abs(S), abs(S5), 1e-300)
         err = max(abs(B5 - B4) / scale_B, abs(S5 - S4) / scale_S)
         if err <= 1.0:
-            t = t + h
+            t = end
             B, S = B5, S5
             record(t, B, S, s4)
+            if end == node:
+                h, node = wanted, next(nodes, math.inf)
+                continue
         elif not err < math.inf:  # NaN or inf, never accepted: name the income that caused it
             for c, sample in zip(_RKF_C, (s0, s1, s2, s3, s4, s5)):
                 if not all(map(math.isfinite, sample)):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import tracemalloc
 import typing
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -35,6 +37,7 @@ from wellbeing_dynamics import (
 from wellbeing_dynamics import core, dynamics
 from wellbeing_dynamics.dynamics import MAX_GRID_STEPS, _run_rk4, _run_rkf45, uniform_grid
 from wellbeing_dynamics.numerics import adaptive_simpson
+from wellbeing_dynamics.scenario import load_scenario
 from conftest import draw_params, uniform
 
 mp.mp.dps = 50
@@ -106,13 +109,23 @@ class TestTabulatedIncome:
         # The ratios 1e400 and 1e-400 are not normal floats; the midpoint value is 1.
         assert TabulatedIncome(((0.0, v0), (10.0, v1))).value(5.0) == pytest.approx(1.0, rel=1e-12)
 
-    def test_derivative_from_node_slopes(self):
-        m = TabulatedIncome(self.POINTS)
-        # One-sided at the ends, centered difference inside.
-        assert m.derivative(0.0) == 1.0
-        assert m.derivative(1.0) == 1.5
-        assert m.derivative(2.0) == 2.0
-        assert m.derivative(0.5) == pytest.approx(1.25, rel=1e-15)
+    def test_derivative_is_value_times_segment_log_slope(self):
+        # Log-slopes ln 2 on [0, 1] and ln 4 on [1, 2]: p'/p is constant on each segment.
+        m = TabulatedIncome(((0.0, 1.0), (1.0, 2.0), (2.0, 8.0)))
+        ln2, ln4 = math.log(2.0), math.log(4.0)
+        assert m.derivative(0.5) == m.value(0.5) * ln2
+        assert m.derivative(1.5) == pytest.approx(4.0 * ln4, rel=1e-15)
+        # A node takes the segment after it, or with left the one before; an end node its one.
+        assert (m.derivative(1.0), m.derivative(1.0, True)) == (2.0 * ln4, 2.0 * ln2)
+        assert (m.derivative(0.0), m.derivative(0.0, True)) == (ln2, ln2)
+        assert (m.derivative(2.0), m.derivative(2.0, True)) == (8.0 * ln4, 8.0 * ln4)
+
+    def test_derivative_reuses_the_value_call_at_the_same_time_only(self):
+        m, fresh = TabulatedIncome(self.POINTS), TabulatedIncome(self.POINTS)
+        for t in (0.3, 1.0, 1.7):
+            m.value(t)
+            assert m.derivative(t) == fresh.derivative(t)
+            assert m.derivative(t + 0.1) == fresh.derivative(t + 0.1)
 
     def test_outside_range_rejected(self):
         m = TabulatedIncome(self.POINTS)
@@ -160,26 +173,29 @@ class TestTabulatedIncome:
                                 rel_tol=1e-12)
 
 
-def reference_tabulated(points, t, derivative=False):
+def reference_tabulated(points, t, derivative=False, left=False):
     """TabulatedIncome.value/derivative as three lookups per call (bisect_left,
-    range check, bisect_right): the oracle for the single shared lookup."""
+    range check, bisect_right): the oracle for the single shared lookup. The
+    derivative is the value times the log-slope of the segment holding t: at a
+    node the one after it, or with left the one before it (an end node has one)."""
     times = [pt[0] for pt in points]
     values = [pt[1] for pt in points]
-    slopes = [(values[1] - values[0]) / (times[1] - times[0])]
-    for i in range(1, len(points) - 1):
-        slopes.append((values[i + 1] - values[i - 1]) / (times[i + 1] - times[i - 1]))
-    slopes.append((values[-1] - values[-2]) / (times[-1] - times[-2]))
-    column = slopes if derivative else values
     i = bisect_left(times, t)
     if i < len(times) and times[i] == t:
-        return column[i]
-    if t < times[0] or t > times[-1]:
+        value, seg = values[i], i - 1 if left or i == len(times) - 1 else i
+        seg = min(max(seg, 0), len(times) - 2)
+    elif t < times[0] or t > times[-1]:
         raise DomainError(f"t = {t} outside the tabulated range [{times[0]}, {times[-1]}]")
-    i = min(bisect_right(times, t) - 1, len(times) - 2)
-    w = (t - times[i]) / (times[i + 1] - times[i])
-    if derivative:
-        return slopes[i] + (slopes[i + 1] - slopes[i]) * w
-    return values[i] * (values[i + 1] / values[i]) ** w
+    else:
+        seg = min(bisect_right(times, t) - 1, len(times) - 2)
+        w = (t - times[seg]) / (times[seg + 1] - times[seg])
+        value = values[seg] * (values[seg + 1] / values[seg]) ** w
+    if not derivative:
+        return value
+    ratio = values[seg + 1] / values[seg]
+    log_ratio = (math.log(ratio) if sys.float_info.min <= ratio < math.inf
+                 else math.log(values[seg + 1]) - math.log(values[seg]))
+    return value * (log_ratio / (times[seg + 1] - times[seg]))
 
 
 @st.composite
@@ -199,14 +215,17 @@ class TestTabulatedLookup:
         t = data.draw(st.one_of(st.sampled_from([pt[0] for pt in points]),
                                 st.floats(min_value=lo, max_value=hi)))
         assert m.value(t).hex() == reference_tabulated(points, t).hex()
-        assert m.derivative(t).hex() == reference_tabulated(points, t, True).hex()
+        for left in (False, True):
+            assert m.derivative(t, left).hex() == reference_tabulated(points, t, True, left).hex()
 
     @given(tables())
-    def test_nodes_return_stored_value_and_slope(self, points):
+    def test_nodes_return_stored_value_and_either_side_slope(self, points):
         m = TabulatedIncome(points)
         for t, v in points:
             assert m.value(t) == v
-            assert m.derivative(t).hex() == reference_tabulated(points, t, True).hex()
+            for left in (False, True):
+                want = reference_tabulated(points, t, True, left)
+                assert m.derivative(t, left).hex() == want.hex()
 
     @given(tables())
     def test_just_outside_either_end_raises_same_text(self, points):
@@ -403,14 +422,16 @@ class TestIntegrate:
 
 def reference_rhs(p, q, params):
     """(rhs, record, columns) of the reference loops below: the right-hand
-    side from four income calls, and a record that samples both incomes again."""
+    side from four income calls, and a record that samples both incomes again.
+    rhs(..., left=True) asks incomes with nodes for their rates from the left."""
     a, b, a_s, b_s = params.a, params.b, params.a_star, params.b_star
     cols = ([], [], [], [], [])
 
-    def rhs(t, B, S):
+    def rhs(t, B, S, left=False):
         pv, qv = p.value(t), q.value(t)
-        return ((a * p.derivative(t) / pv - b * qv / pv) * B,
-                (a_s * q.derivative(t) / qv - b_s * pv / qv) * S)
+        dp = p.derivative(t, True) if left and p.nodes else p.derivative(t)
+        dq = q.derivative(t, True) if left and q.nodes else q.derivative(t)
+        return (a * dp / pv - b * qv / pv) * B, (a_s * dq / qv - b_s * pv / qv) * S
 
     def record(t, B, S):
         for col, x in zip(cols, (t, B, S, p.value(t), q.value(t))):
@@ -419,23 +440,36 @@ def reference_rhs(p, q, params):
     return rhs, record, cols
 
 
+def reference_nodes(p, q, t0, t_end):
+    """Both incomes' node times in (t0, t_end], where the integrators end steps."""
+    return sorted({s for s in (*p.nodes, *q.nodes) if t0 < s <= t_end})
+
+
 def reference_rk4(p, q, params, grid):
     """Four right-hand-side evaluations per step plus an income sample per
-    record: the RK4 loop that stage sharing replaced, kept as the oracle."""
+    record: the RK4 loop that stage sharing replaced, kept as the oracle. Steps
+    end on the grid times and on the incomes' nodes, where k4 takes the rates
+    left of the node and the next k1 those right of it; only grid times are
+    recorded."""
     rhs, record, cols = reference_rhs(p, q, params)
+    rows, nodes = set(grid), set(reference_nodes(p, q, grid[0], grid[-1]))
     t = grid[0]
     B, S = params.B0, params.B0_star
     record(t, B, S)
-    for t_next in grid[1:]:
+    for t_next in sorted(rows | nodes)[1:]:
         h = t_next - t
         k1B, k1S = rhs(t, B, S)
         k2B, k2S = rhs(t + 0.5 * h, B + 0.5 * h * k1B, S + 0.5 * h * k1S)
         k3B, k3S = rhs(t + 0.5 * h, B + 0.5 * h * k2B, S + 0.5 * h * k2S)
-        k4B, k4S = rhs(t + h, B + h * k3B, S + h * k3S)
+        if t_next in nodes:
+            k4B, k4S = rhs(t_next, B + h * k3B, S + h * k3S, left=True)
+        else:
+            k4B, k4S = rhs(t + h, B + h * k3B, S + h * k3S)
         B += h / 6.0 * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
         S += h / 6.0 * (k1S + 2.0 * k2S + 2.0 * k3S + k4S)
         t = t_next
-        record(t, B, S)
+        if t in rows:
+            record(t, B, S)
     return tuple(tuple(col) for col in cols)
 
 
@@ -451,19 +485,26 @@ def left_sum(terms) -> float:
 def reference_rkf45(p, q, params, t_end, step, tol):
     """Six right-hand-side evaluations per attempt plus an income sample per
     record: the RKF45 loop before it stepped on the coefficients, kept as
-    the oracle."""
+    the oracle. A step that would reach the next node of either income ends
+    exactly on it, with its last stage from the left of the node, and once
+    accepted the next step resumes the size that was cut."""
     rhs, record, cols = reference_rhs(p, q, params)
     t, span = params.t0, t_end - params.t0
     B, S = params.B0, params.B0_star
     record(t, B, S)
     h, tiny = min(step, span), 1e-12 * max(1.0, span)
+    nodes = iter(reference_nodes(p, q, t, t_end))
+    node = next(nodes, math.inf)
     while t < t_end - tiny:
         h = min(h, t_end - t)
+        end, cut = t + h, t + h >= node
+        if cut:
+            wanted, h, end = h, node - t, node
         ks = []
         for c, row in zip(dynamics._RKF_C, dynamics._RKF_A):
             Bi = B + h * left_sum(aij * ks[j][0] for j, aij in enumerate(row))
             Si = S + h * left_sum(aij * ks[j][1] for j, aij in enumerate(row))
-            ks.append(rhs(t + c * h, Bi, Si))
+            ks.append(rhs(end, Bi, Si, left=cut) if c == 1.0 else rhs(t + c * h, Bi, Si))
         B5 = B + h * left_sum(w * k[0] for w, k in zip(dynamics._RKF_B5, ks))
         S5 = S + h * left_sum(w * k[1] for w, k in zip(dynamics._RKF_B5, ks))
         B4 = B + h * left_sum(w * k[0] for w, k in zip(dynamics._RKF_B4, ks))
@@ -471,9 +512,12 @@ def reference_rkf45(p, q, params, t_end, step, tol):
         err = max(abs(B5 - B4) / (tol * max(abs(B), abs(B5), 1e-300)),
                   abs(S5 - S4) / (tol * max(abs(S), abs(S5), 1e-300)))
         if err <= 1.0:
-            t = t + h
+            t = end
             B, S = B5, S5
             record(t, B, S)
+            if cut:
+                h, node = wanted, next(nodes, math.inf)
+                continue
         h *= min(5.0, max(0.2, 5.0 if err == 0.0 else 0.9 * err**-0.2))
     return tuple(tuple(col) for col in cols)
 
@@ -484,10 +528,10 @@ def count_income_calls(monkeypatch) -> Counter:
     counts = Counter()
     for cls in (ExponentialIncome, LinearIncome, TabulatedIncome):
         for name in ("value", "derivative"):
-            def counting(self, t, fn=getattr(cls, name), name=name):
+            def counting(self, t, *left, fn=getattr(cls, name), name=name):
                 counts[name] += 1
                 counts[t] += 1
-                return fn(self, t)
+                return fn(self, t, *left)
             monkeypatch.setattr(cls, name, counting)
     return counts
 
@@ -517,6 +561,13 @@ class TestRK4StageSharing:
                                   for k in range(21)))
         assert set(p.nodes) & set(time_grid(0.0, 10.0, 0.05))
         self.assert_matches_reference(p, p.scaled(1.7), HIGH, 10.0, 0.05)
+
+    def test_tabulated_with_nodes_off_the_grid(self):
+        # Nodes every 0.37 on a 0.1 grid: 26 of the 27 split a step and add no row.
+        p, q = income_pairs()[2].values
+        inside = {s for s in p.nodes if 0.0 < s <= 10.0}
+        assert (len(inside), inside & set(time_grid(0.0, 10.0, 0.1))) == (27, {3.7})
+        self.assert_matches_reference(p, q, HIGH, 10.0, 0.1)
 
     def test_grid_starting_below_zero(self):
         # The last step crosses zero, and there t + h != t_next.
@@ -557,15 +608,18 @@ class TestRK4StageSharing:
 
     def test_rkf45_calls_both_derivatives_six_times_per_attempt(self, monkeypatch):
         # Benchmarks recover RKF45 attempts as derivative calls inside the
-        # attempts / 12; t0 costs 2 derivative calls outside them.
-        p = ExponentialIncome(HIGH.p0, HIGH.lam)
+        # attempts / 12; t0 costs 2 derivative calls outside them. A step that
+        # ends on a node costs no more.
         counts = count_income_calls(monkeypatch)
-        tr = integrate(p, p.scaled(HIGH.n), HIGH, 50.0, method="rkf45", step=0.5)
-        samples = len(tr.times)
-        attempts, rest = divmod(counts["derivative"] - 2, 12)
-        assert rest == 0
-        assert attempts >= samples - 1
-        assert counts["value"] == counts["derivative"]
+        tab, _ = income_pairs()[2].values
+        for p, t_end in ((ExponentialIncome(HIGH.p0, HIGH.lam), 50.0), (tab, 14.0)):
+            counts.clear()
+            tr = integrate(p, p.scaled(HIGH.n), HIGH, t_end, method="rkf45", step=0.5)
+            samples = len(tr.times)
+            attempts, rest = divmod(counts["derivative"] - 2, 12)
+            assert rest == 0
+            assert attempts >= samples - 1
+            assert counts["value"] == counts["derivative"]
 
 
 def income_pairs():
@@ -633,10 +687,10 @@ class TestTimeTranslation:
     """Moving t0, t_end and the incomes by the same shift moves only the times. RK4's grid
     keeps its steps, so it moves by rounding alone. RKF45's accepted steps move with the
     rounding of t, so its end state moves within its error: below 1e-12 on smooth incomes
-    (tol 1e-8), but up to 1.2e-4 on tabulated ones (600 draws), whose kinks at the nodes
-    its error estimate misses: there it ends up to 3.4e-5 from a fine-step RK4."""
+    (tol 1e-8), and on tabulated ones too (1.2e-12 at worst over 300 draws), whose steps
+    end on the moved nodes, where the log-slope changes."""
 
-    RKF45_BOUND = {"exponential": 1e-9, "linear": 1e-9, "tabulated": 1e-3}
+    RKF45_BOUND = {"exponential": 1e-9, "linear": 1e-9, "tabulated": 1e-9}
 
     @given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-1e3, 1e3),
            kind=st.sampled_from(["exponential", "linear", "tabulated"]))
@@ -935,6 +989,151 @@ class TestQuadratureSplitAtNodes:
         integral, _ = adaptive_simpson(lambda s: q.value(s) / p.value(s), 0.5, 13.0)
         log_growth = 1.2 * (math.log(p.value(13.0)) - math.log(p.value(0.5))) - 0.05 * integral
         assert got == core.grown(2.0, log_growth, "B", 13.0)
+
+
+def log_income_exact(model, s):
+    """ln model(s) in mpmath for any of the three income models."""
+    if isinstance(model, LinearIncome):
+        return mp.log(model.p0 + model.slope * (mp.mpf(s) - model.t0))
+    return log_income(model, s)
+
+
+def exact_wellbeing(params, p, t):
+    """(B, B*) at t for the scenario pair (p, n*p), on any income model: q/p = n, so
+    ln B = ln B0 + a*ln(p(t)/p(t0)) - b*n*(t - t0) and the same with a*, b*/n."""
+    growth, dt = log_income_exact(p, t) - log_income_exact(p, params.t0), mp.mpf(t) - params.t0
+    return (params.B0 * mp.exp(params.a * growth - params.b * params.n * dt),
+            params.B0_star * mp.exp(params.a_star * growth - params.b_star / params.n * dt))
+
+
+def scenario_incomes():
+    """One income of each model from t = -3.7 on, the tabulated one kinked at every node."""
+    rng = random.Random(17)
+    tab = TabulatedIncome(tuple((0.37 * k - 3.7, 2.0 * math.exp(0.111 * k + rng.uniform(0, 0.3)))
+                                for k in range(50)))
+    return [pytest.param(ExponentialIncome(2.0, 0.3, -1.3), id="exponential"),
+            pytest.param(LinearIncome(2.0, 0.9, -1.3), id="linear"),
+            pytest.param(tab, id="tabulated")]
+
+
+class TestExactForm:
+    """Both integrators against the exact well-being of a scenario pair q = n*p, and RKF45
+    against general_wellbeing on mixed pairs: one model of the income on both paths."""
+
+    PARAMS = ScenarioParams(a=2.0, a_star=1.5, b=0.5, b_star=0.9, lam=0.3, n=1.5,
+                            B0=1.0, B0_star=2.0, p0=2.0, t0=-1.3)
+
+    def row_errors(self, p, tr):
+        errors = []
+        for t, B, S in zip(tr.times, tr.B, tr.B_star):
+            B_exact, S_exact = exact_wellbeing(self.PARAMS, p, t)
+            errors.append(float(max(abs(B - B_exact) / B_exact, abs(S - S_exact) / S_exact)))
+        return errors
+
+    @pytest.mark.parametrize("p", scenario_incomes())
+    def test_rk4_is_fourth_order_on_every_row(self, p):
+        # Rows k, 2k and 4k of the grids at h, h/2 and h/4 share a time up to rounding.
+        # Tabulated nodes fall off these grids, so they split steps.
+        errors = [self.row_errors(p, integrate(p, p.scaled(self.PARAMS.n), self.PARAMS, 8.7,
+                                               step=h))
+                  for h in (0.1, 0.05, 0.025)]
+        coarse, mid, fine = errors
+        assert len(coarse) == 101 and errors[0][0] == 0.0
+        for k in range(1, len(coarse)):
+            assert coarse[k] >= 12.0 * mid[2 * k] >= 144.0 * fine[4 * k] > 0.0, k
+
+    @pytest.mark.parametrize("p", scenario_incomes())
+    def test_rkf45_end_state(self, p):
+        tr = integrate(p, p.scaled(self.PARAMS.n), self.PARAMS, 8.7, method="rkf45", step=0.1)
+        assert max(self.row_errors(p, tr)) < 1e-7
+
+    def test_tabulated_golden_table(self):
+        # The checked-in simulate_tabulated_ode table, printed to 12 digits: 4.9e-10 at worst.
+        golden = Path(__file__).parent / "golden"
+        scenario = load_scenario(golden / "inputs" / "tabulated.json")
+        rows = (golden / "simulate_tabulated_ode" / "out.csv").read_text().splitlines()[1:]
+        assert len(rows) == 36
+        for row in rows:
+            t, B, S = map(float, row.split(",")[:3])
+            B_exact, S_exact = exact_wellbeing(scenario.params, scenario.income, t)
+            assert abs(B - B_exact) < 1e-9 * B_exact and abs(S - S_exact) < 1e-9 * S_exact
+
+    P = kinked_income(node_times(13, 20.0, seed=23), seed=1)
+    Q = kinked_income(node_times(9, 20.5, seed=24), seed=2, level=3.0)
+
+    @pytest.mark.parametrize("p,q", [
+        pytest.param(P, Q, id="different node sets"),
+        pytest.param(Q, P, id="different node sets, roles swapped"),
+        pytest.param(P, ExponentialIncome(3.1, 0.04, t0=2.0), id="tabulated p, exponential q"),
+        pytest.param(ExponentialIncome(3.1, 0.04, t0=2.0), Q, id="exponential p, tabulated q"),
+        pytest.param(P, LinearIncome(2.6, 0.09, t0=1.0), id="tabulated p, linear q"),
+        pytest.param(LinearIncome(2.6, 0.09, t0=1.0), Q, id="linear p, tabulated q"),
+    ])
+    @pytest.mark.parametrize("t_end", [18.2, P.nodes[10]], ids=["inside a segment", "on a node"])
+    def test_rkf45_matches_general_wellbeing_on_mixed_pairs(self, p, q, t_end):
+        # 7e-9 at worst here; 5.9e-2 when derivative interpolated finite-difference slopes.
+        params = ScenarioParams(a=1.2, a_star=0.8, b=0.07, b_star=0.05, lam=0.03, n=1.5,
+                                B0=1.3, B0_star=0.7, p0=2.0, t0=0.7)
+        tr = integrate(p, q, params, t_end, method="rkf45")
+        want_B = general_wellbeing(p, q, params.a, params.b, params.B0, params.t0, t_end,
+                                   quad_tol=1e-13)
+        want_S = general_wellbeing(q, p, params.a_star, params.b_star, params.B0_star,
+                                   params.t0, t_end, quad_tol=1e-13)
+        assert tr.times[-1] == t_end
+        assert abs(tr.B[-1] - want_B) < 1e-7 * want_B
+        assert abs(tr.B_star[-1] - want_S) < 1e-7 * want_S
+
+
+class TestStepsEndOnNodes:
+    # ln p rises by ln 2 on [0, 1] and falls by ln 2 on [1, 2]: c_B jumps at t = 1.
+    P = TabulatedIncome(((0.0, 1.0), (1.0, 2.0), (2.0, 1.0)))
+    PARAMS = ScenarioParams(a=1.0, a_star=0.5, b=0.2, b_star=0.1, lam=0.1, n=2.0,
+                            B0=1.0, B0_star=1.0, p0=1.0)
+
+    def test_nodes_closer_than_the_step_floor(self):
+        # h_min is 3e-14 on [0, 3]; the step from the node at 1 to the next is 1.1e-15.
+        p = TabulatedIncome(((0.0, 1.0), (1.0, 1.1), (1.0 + 1e-15, 1.1 * (1.0 + 1e-9)),
+                             (3.0, 1.5)))
+        tr = integrate(p, p.scaled(self.PARAMS.n), self.PARAMS, 3.0, method="rkf45")
+        assert p.nodes[1] in tr.times and p.nodes[2] in tr.times
+        B_exact, S_exact = exact_wellbeing(self.PARAMS, p, 3.0)
+        assert abs(tr.B[-1] - B_exact) < 1e-8 * B_exact
+        assert abs(tr.B_star[-1] - S_exact) < 1e-8 * S_exact
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_t_end_on_an_interior_node_takes_the_left_rates(self, method):
+        # On [0, 1] c_B = a*ln 2 - b*n is constant, so each RK4 step multiplies B by
+        # 1 + x + x^2/2 + x^3/6 + x^4/24 with x = c_B*h; the right rates would give k4 another.
+        params, p = self.PARAMS, self.P
+        tr = integrate(p, p.scaled(params.n), params, 1.0, method=method, step=0.25)
+        assert tr.times[-1] == 1.0
+        c_B = params.a * math.log(2.0) - params.b * params.n
+        if method == "rk4":
+            x = c_B * 0.25
+            assert tr.B[-1] == pytest.approx((1 + x + x**2 / 2 + x**3 / 6 + x**4 / 24) ** 4,
+                                             rel=1e-14)
+        else:
+            assert tr.B[-1] == pytest.approx(math.exp(c_B), rel=1e-8)
+
+    def test_rk4_node_off_the_grid_adds_no_row(self):
+        params, p = self.PARAMS, self.P
+        grid = time_grid(0.0, 2.0, 0.3)
+        assert 1.0 not in grid
+        tr = integrate(p, p.scaled(params.n), params, 2.0, step=0.3)
+        assert tr.times == tuple(grid)
+        B_exact, _ = exact_wellbeing(params, p, 2.0)
+        assert abs(tr.B[-1] - B_exact) < 1e-3 * B_exact  # 9.3e-5: RK4 at h = 0.3
+
+    def test_grid_cap_still_applies(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="exceeds the limit"):
+                integrate(self.P, self.P.scaled(2.0), self.PARAMS, 2.0,
+                          step=2.0 / (MAX_GRID_STEPS + 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestCrossValidate:
