@@ -116,7 +116,7 @@ def grown(level: float, log_growth: float, name: str, t, per: float = 1.0) -> fl
 
 def incomes(p: "IncomeModel", q: "IncomeModel", t: float) -> tuple[float, float]:
     """(p(t), q(t)); an OverflowError with INCOME_OVERFLOW when either leaves the float range.
-    Exponential income raises it itself; a linear one returns inf, which raises it here."""
+    An exponential one raises it itself only when exp overflows; inf values raise it here."""
     pair = p.value(t), q.value(t)
     if math.inf in pair:
         raise OverflowError(INCOME_OVERFLOW % t)

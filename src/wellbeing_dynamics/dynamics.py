@@ -47,7 +47,7 @@ class ExponentialIncome:
         except OverflowError:
             raise OverflowError(INCOME_OVERFLOW % t) from None
 
-    def derivative(self, t: float) -> float:
+    def derivative(self, t: float, left: bool = False) -> float:
         try:
             return self.rate * (self.p0 * math.exp(self.rate * (t - self.t0)))
         except OverflowError:
@@ -77,7 +77,7 @@ class LinearIncome:
     def value(self, t: float) -> float:
         return self.p0 + self.slope * (t - self.t0)
 
-    def derivative(self, t: float) -> float:
+    def derivative(self, t: float, left: bool = False) -> float:
         return self.slope
 
     def scaled(self, n: float) -> LinearIncome:
@@ -92,13 +92,12 @@ class TabulatedIncome:
     points must have strictly increasing times and positive values. On
     the segment from node i to node i + 1, p'/p is its constant log-slope
     ln(v_{i+1} / v_i) / (t_{i+1} - t_i), as in general_wellbeing; at a
-    node, derivative takes the segment after it, or with left the one
-    before it (an end node has one). value and derivative share one
-    lookup: a range check and one bisect find either the node at t, whose
-    stored value is returned exactly, or the segment holding t with its
-    weight, which derivative reuses after a value call at the same t.
-    Queries outside the sampled range are refused rather than
-    extrapolated. nodes: the times, where it bends.
+    node, derivative takes the segment on the side IncomeModel names (an
+    end node has one). value and derivative share one lookup: a range
+    check and one bisect find either the node at t, whose stored value is
+    returned exactly, or the segment holding t with its weight, which
+    derivative reuses after a value call at the same t. Queries outside
+    the sampled range are refused rather than extrapolated.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -151,6 +150,8 @@ class TabulatedIncome:
         return TabulatedIncome(tuple((t, n * v) for t, v in self.points))
 
 
+#: value(t) is p(t); derivative(t, left=False) is p'(t), from the left of a node if left (smooth
+#: incomes ignore the side); nodes: the times where p'/p jumps, () if smooth; scaled(n): n * p.
 IncomeModel = ExponentialIncome | LinearIncome | TabulatedIncome
 
 
@@ -259,13 +260,12 @@ def integrate(
 
     def coefficients(t: float, left: bool = False) -> tuple[float, float, float, float]:
         # The only income call site: (c_B, c_S, p, q) at t, for the RHS (c_B * B, c_S * S).
-        # left: a step ends on a node at t; incomes with nodes take the rates left of it.
+        # left: a step ends at t, so the incomes' rates come from the left (IncomeModel).
         try:
             pv, qv = p.value(t), q.value(t)
             if pv <= 0.0 or qv <= 0.0:
                 raise failure(f"non-positive income sample at t = {t}")
-            dp = p.derivative(t, True) if left and p.nodes else p.derivative(t)
-            dq = q.derivative(t, True) if left and q.nodes else q.derivative(t)
+            dp, dq = p.derivative(t, left), q.derivative(t, left)
             return a * dp / pv - b * qv / pv, a_s * dq / qv - b_s * pv / qv, pv, qv
         except OverflowError:
             raise failure(INCOME_OVERFLOW % t) from None
@@ -345,8 +345,9 @@ _RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
 
 def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record, nodes=()) -> None:
     # Straight-line stages: sums add left to right, zero weights too. Stage 4 (t + h) is an
-    # accepted step's record, not the next stage 0: six evaluations an attempt. nodes: as in
-    # _run_rk4. A step that would reach one ends on it, exempt from h_min, with stage 4 from
+    # accepted step's record, not the next stage 0: six evaluations an attempt. Steps stop on
+    # the nodes (as in _run_rk4) and on t_end alike: a step that would reach the next stop,
+    # or end short of it by less than h_min, ends on it, exempt from h_min, with stage 4 from
     # the left; once accepted, the next step resumes the size it was cut from.
     step = checked(step, "step", above=0.0)
     tol = checked(tol, "tol", above=0.0)
@@ -354,17 +355,14 @@ def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record, n
     _, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54) = _RKF_A
     b50, b51, b52, b53, b54, b55 = _RKF_B5
     b40, b41, b42, b43, b44, b45 = _RKF_B4
-    t, span = params.t0, t_end - params.t0
+    t, h = params.t0, step
     B, S = params.B0, params.B0_star
-    h = min(step, span)
     h_min = 1e-14 * max(1.0, abs(params.t0), abs(t_end))
-    tiny = 1e-12 * max(1.0, span)
-    nodes = iter(nodes)
-    node = next(nodes, math.inf)
-    while t < t_end - tiny:
-        h = min(h, t_end - t)
+    nodes = iter((*nodes, t_end))
+    node = next(nodes)
+    while t < t_end:
         end = t + h
-        if end >= node:
+        if end > node - h_min:
             wanted, h, end = h, node - t, node
         elif h < h_min:
             raise IntegrationError(f"adaptive step underflow at t = {t} (h = {h})",
@@ -379,7 +377,7 @@ def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record, n
         s3 = coefficients(t + c3 * h)
         k3B = s3[0] * (B + h * (a30 * k0B + a31 * k1B + a32 * k2B))
         k3S = s3[1] * (S + h * (a30 * k0S + a31 * k1S + a32 * k2S))
-        s4 = coefficients(end) if end < node else coefficients(end, True)
+        s4 = coefficients(end, end == node)
         k4B = s4[0] * (B + h * (a40 * k0B + a41 * k1B + a42 * k2B + a43 * k3B))
         k4S = s4[1] * (S + h * (a40 * k0S + a41 * k1S + a42 * k2S + a43 * k3S))
         s5 = coefficients(t + c5 * h)
@@ -397,7 +395,7 @@ def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record, n
             B, S = B5, S5
             record(t, B, S, s4)
             if end == node:
-                h, node = wanted, next(nodes, math.inf)
+                h, node = wanted, next(nodes, t_end)
                 continue
         elif not err < math.inf:  # NaN or inf, never accepted: name the income that caused it
             for c, sample in zip(_RKF_C, (s0, s1, s2, s3, s4, s5)):

@@ -243,6 +243,13 @@ class TestGeneralWellbeing:
         with pytest.raises(OverflowError, match=r"^income overflows at t = 800$"):
             general_wellbeing(p, p.scaled(1.5), a=10.0, b=0.5, B0=1.0, t0=0.0, t=800.0)
 
+    def test_income_overflow_without_exp_overflow_names_t(self):
+        # exp(690) is finite, p0 times it is not: value returns inf instead of raising.
+        p = ExponentialIncome(p0=1e10, rate=1000.0)
+        assert p.value(0.69) == math.inf
+        with pytest.raises(OverflowError, match=r"^income overflows at t = 0.69$"):
+            general_wellbeing(p, p.scaled(1.5), a=1.0, b=0.05, B0=1.0, t0=0.0, t=0.69)
+
     def test_income_gap_overflow_names_t(self):
         # q/p = 1e310 leaves the float range while both incomes are finite.
         p, q = ExponentialIncome(p0=1e-300, rate=0.0), ExponentialIncome(p0=1e10, rate=0.0)

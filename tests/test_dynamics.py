@@ -423,14 +423,13 @@ class TestIntegrate:
 def reference_rhs(p, q, params):
     """(rhs, record, columns) of the reference loops below: the right-hand
     side from four income calls, and a record that samples both incomes again.
-    rhs(..., left=True) asks incomes with nodes for their rates from the left."""
+    rhs(..., left=True) asks the incomes for their rates from the left."""
     a, b, a_s, b_s = params.a, params.b, params.a_star, params.b_star
     cols = ([], [], [], [], [])
 
     def rhs(t, B, S, left=False):
         pv, qv = p.value(t), q.value(t)
-        dp = p.derivative(t, True) if left and p.nodes else p.derivative(t)
-        dq = q.derivative(t, True) if left and q.nodes else q.derivative(t)
+        dp, dq = p.derivative(t, left), q.derivative(t, left)
         return (a * dp / pv - b * qv / pv) * B, (a_s * dq / qv - b_s * pv / qv) * S
 
     def record(t, B, S):
@@ -485,19 +484,19 @@ def left_sum(terms) -> float:
 def reference_rkf45(p, q, params, t_end, step, tol):
     """Six right-hand-side evaluations per attempt plus an income sample per
     record: the RKF45 loop before it stepped on the coefficients, kept as
-    the oracle. A step that would reach the next node of either income ends
-    exactly on it, with its last stage from the left of the node, and once
+    the oracle. The stops are the nodes of either income, then t_end. A step
+    that would reach the next stop, or end short of it by less than h_min, ends
+    exactly on it, with its last stage from the left of the stop, and once
     accepted the next step resumes the size that was cut."""
     rhs, record, cols = reference_rhs(p, q, params)
-    t, span = params.t0, t_end - params.t0
+    t, h = params.t0, step
     B, S = params.B0, params.B0_star
     record(t, B, S)
-    h, tiny = min(step, span), 1e-12 * max(1.0, span)
-    nodes = iter(reference_nodes(p, q, t, t_end))
-    node = next(nodes, math.inf)
-    while t < t_end - tiny:
-        h = min(h, t_end - t)
-        end, cut = t + h, t + h >= node
+    h_min = 1e-14 * max(1.0, abs(t), abs(t_end))
+    nodes = iter((*reference_nodes(p, q, t, t_end), t_end))
+    node = next(nodes)
+    while t < t_end:
+        end, cut = t + h, t + h > node - h_min
         if cut:
             wanted, h, end = h, node - t, node
         ks = []
@@ -516,7 +515,7 @@ def reference_rkf45(p, q, params, t_end, step, tol):
             B, S = B5, S5
             record(t, B, S)
             if cut:
-                h, node = wanted, next(nodes, math.inf)
+                h, node = wanted, next(nodes, t_end)
                 continue
         h *= min(5.0, max(0.2, 5.0 if err == 0.0 else 0.9 * err**-0.2))
     return tuple(tuple(col) for col in cols)
@@ -746,7 +745,7 @@ class TestAdaptiveIntegrate:
         # step to the floor and gives up with the last good state.
         calls = iter(range(10**9))
 
-        def rough(t):
+        def rough(t, left=False):
             return 1e8 * (next(calls) % 6), 0.0, 1.0, 1.0
 
         with pytest.raises(IntegrationError, match="underflow") as exc_info:
@@ -1099,6 +1098,34 @@ class TestStepsEndOnNodes:
         B_exact, S_exact = exact_wellbeing(self.PARAMS, p, 3.0)
         assert abs(tr.B[-1] - B_exact) < 1e-8 * B_exact
         assert abs(tr.B_star[-1] - S_exact) < 1e-8 * S_exact
+
+    def test_no_step_ends_within_the_floor_of_a_node(self):
+        # A step from 0 would land on 0.37, an ulp short of the node 0.3700000000000001; it
+        # ends on the node instead of leaving a 1.1e-16 step, and a whole attempt, for later.
+        p, q = income_pairs()[2].values
+        tr = integrate(p, q, HIGH, 12.0, method="rkf45", step=0.37)
+        h_min = 1e-14 * 12.0
+        assert 0.37 not in tr.times and p.nodes[11] in tr.times
+        assert min(t1 - t0 for t0, t1 in zip(tr.times, tr.times[1:])) >= h_min
+        assert len(tr.times) == 44  # 45 with the ulp step
+
+    @pytest.mark.parametrize("t0", [-3.7, 0.0, 1990.0])
+    @pytest.mark.parametrize("where", ["on a node", "off the nodes", "short of the first step",
+                                       "an ulp past a node"])
+    def test_rkf45_ends_exactly_on_t_end(self, t0, where):
+        # Nodes every 0.37 from t0 on; t_end is the loop's last stop, like a node, and a stop
+        # an ulp past the one before it still gets its own step.
+        tab, _ = income_pairs()[2].values
+        p = TabulatedIncome(tuple((t0 + 0.37 * k, v) for k, (_, v) in enumerate(tab.points)))
+        t_end = {"on a node": p.nodes[20], "off the nodes": t0 + 7.5,
+                 "short of the first step": t0 + 0.2,
+                 "an ulp past a node": math.nextafter(p.nodes[20], math.inf)}[where]
+        params = replace(HIGH, t0=t0)
+        for q in (p.scaled(1.7), ExponentialIncome(3.0, 0.1, t0), LinearIncome(3.0, 0.1, t0)):
+            tr = integrate(p, q, params, t_end, method="rkf45", step=0.37)
+            assert tr.times[-1] == t_end
+            tr = integrate(q, q.scaled(1.7), params, t_end, method="rkf45", step=0.37)
+            assert tr.times[-1] == t_end
 
     @pytest.mark.parametrize("method", ["rk4", "rkf45"])
     def test_t_end_on_an_interior_node_takes_the_left_rates(self, method):
