@@ -8,14 +8,12 @@ sample time. Chilean reference figures ship with the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import ScenarioParams
-from .errors import DomainError, checked_points, read_text
+from .errors import DomainError, Record, checked_points, read_text
 
 
-@dataclass(frozen=True)
-class IncomeSeries:
+class IncomeSeries(Record):
     """Ordered (time, income) observations.
 
     At least two points, strictly increasing times, positive incomes.
@@ -24,11 +22,10 @@ class IncomeSeries:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", checked_points(self.points, "income series"))
+        vars(self)["points"] = checked_points(self.points, "income series")
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(Record):
     """Result of the log-linear growth fit.
 
     Attributes:
@@ -88,18 +85,8 @@ def scenario_from_data(
         raise DomainError(
             f"fitted growth rate {fit.lam} is not positive; cannot assemble a scenario"
         )
-    return ScenarioParams(
-        a=a,
-        a_star=a_star,
-        b=b,
-        b_star=b_star,
-        lam=fit.lam,
-        n=n_estimate,
-        B0=1.0,
-        B0_star=1.0,
-        p0=fit.p0,
-        t0=fit.t0,
-    )
+    return ScenarioParams(a=a, a_star=a_star, b=b, b_star=b_star, lam=fit.lam, n=n_estimate,
+                          B0=1.0, B0_star=1.0, p0=fit.p0, t0=fit.t0)
 
 
 def _parse_series_text(text: str, origin: str) -> IncomeSeries:

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .errors import DomainError, check_fields, checked, squared
+from .errors import DomainError, Record, checked, squared
 from .numerics import adaptive_simpson
 
 
-@dataclass(frozen=True)
-class ScenarioParams:
+class ScenarioParams(Record):
     """Parameters of one two-group scenario.
 
     Attributes:
@@ -53,12 +51,8 @@ class ScenarioParams:
         "n": 0.0, "B0": 0.0, "B0_star": 0.0, "p0": 0.0, "t0": None,
     }
 
-    def __post_init__(self) -> None:
-        check_fields(self, self._bounds)
 
-
-@dataclass(frozen=True)
-class RatioAnalysis:
+class RatioAnalysis(Record):
     """Exact log-ratio rate and the sign quadratic of B/B*.
 
     Attributes:
@@ -218,9 +212,7 @@ def ratio_analysis(params: ScenarioParams) -> RatioAnalysis:
     root = math.sqrt(discriminant)  # n_hat's second form: the same root, without cancellation
     n_hat = ((gap_term + root) / (2.0 * p.b) if gap_term >= 0.0
              else 2.0 * p.b_star / (root - gap_term))
-    return RatioAnalysis(
-        g_rate=g_rate, f_value=f_value, discriminant=discriminant, n_hat=n_hat
-    )
+    return RatioAnalysis(g_rate=g_rate, f_value=f_value, discriminant=discriminant, n_hat=n_hat)
 
 
 def wellbeing_ratio(params: ScenarioParams, t) -> float:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .core import _NORMAL, INCOME_OVERFLOW, ScenarioParams, closed_form_B, closed_form_B_star
-from .errors import DomainError, IntegrationError, check_fields, checked, checked_points
+from .errors import DomainError, IntegrationError, Record, checked, checked_points
 
 DEFAULT_STEP = 0.01
 DEFAULT_ADAPTIVE_TOL = 1e-8
@@ -29,17 +28,14 @@ DEFAULT_ADAPTIVE_TOL = 1e-8
 MAX_GRID_STEPS = 1_000_000
 
 
-@dataclass(frozen=True)
-class ExponentialIncome:
+class ExponentialIncome(Record):
     """Income path p(t) = p0 * exp(rate * (t - t0))."""
 
     p0: float
     rate: float
     t0: float = 0.0
     nodes = ()  # no break times: smooth everywhere
-
-    def __post_init__(self) -> None:
-        check_fields(self, {"p0": 0.0, "rate": None, "t0": None})
+    _bounds = {"p0": 0.0, "rate": None, "t0": None}
 
     def value(self, t: float) -> float:
         try:
@@ -58,8 +54,7 @@ class ExponentialIncome:
         return ExponentialIncome(n * self.p0, self.rate, self.t0)
 
 
-@dataclass(frozen=True)
-class LinearIncome:
+class LinearIncome(Record):
     """Income path p(t) = p0 + slope * (t - t0).
 
     The value turns non-positive at t0 + p0/|slope| for negative slopes;
@@ -70,9 +65,7 @@ class LinearIncome:
     slope: float
     t0: float = 0.0
     nodes = ()  # no break times: smooth everywhere
-
-    def __post_init__(self) -> None:
-        check_fields(self, {"p0": 0.0, "slope": None, "t0": None})
+    _bounds = {"p0": 0.0, "slope": None, "t0": None}
 
     def value(self, t: float) -> float:
         return self.p0 + self.slope * (t - self.t0)
@@ -85,8 +78,7 @@ class LinearIncome:
         return LinearIncome(n * self.p0, n * self.slope, self.t0)
 
 
-@dataclass(frozen=True)
-class TabulatedIncome:
+class TabulatedIncome(Record):
     """Income path given by samples, log-linear between the nodes.
 
     points must have strictly increasing times and positive values. On
@@ -104,7 +96,6 @@ class TabulatedIncome:
 
     def __post_init__(self) -> None:
         pts = checked_points(self.points, "tabulated income")
-        object.__setattr__(self, "points", pts)
         values = [v for _, v in pts]
         # _ratios: each segment's values[i + 1] / values[i], None where not a normal float;
         # _rates: its log-slope, from the logarithms where the ratio is None.
@@ -112,8 +103,8 @@ class TabulatedIncome:
         ratios = [r if _NORMAL <= r < math.inf else None for r in ratios]
         rates = [(math.log(r) if r else math.log(v1) - math.log(v0)) / (t1 - t0)
                  for r, (t0, v0), (t1, v1) in zip(ratios, pts, pts[1:])]
-        vars(self).update(nodes=tuple(t for t, _ in pts), _values=values, _ratios=ratios,
-                          _rates=rates, _last=(None,))
+        vars(self).update(points=pts, nodes=tuple(t for t, _ in pts), _values=values,
+                          _ratios=ratios, _rates=rates, _last=(None,))
 
     def _sample(self, t: float) -> tuple[float, int, float | None, float]:
         """(t, i, w, p(t)), kept as _last: w is None at node i, else t's weight in segment i."""
@@ -155,8 +146,7 @@ class TabulatedIncome:
 IncomeModel = ExponentialIncome | LinearIncome | TabulatedIncome
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Time-sampled solution (t, B, B_star, p, q) with step metadata.
 
     method is "rk4" or "rkf45"; step holds the fixed step size and
@@ -190,10 +180,10 @@ def uniform_grid(start: float, span: float, step: float) -> list[float]:
 
 
 def time_grid(t0: float, t_end: float, step: float) -> list[float]:
-    """Uniform sample times from t0 to t_end inclusive.
+    """Uniform sample times from t0 to t_end inclusive: t0 first, exactly t_end last.
 
-    The final point is exactly t_end; when the span is not an integer
-    multiple of step, the last interval is shorter.
+    A last grid point past t_end or short of it by rounding alone becomes
+    t_end, unless it is t0; else t_end is appended, a shorter last interval.
     """
     t0 = checked(t0, "t0")
     t_end = checked(t_end, "t_end")
@@ -203,7 +193,7 @@ def time_grid(t0: float, t_end: float, step: float) -> list[float]:
     if t_end == t0:
         return [t0]
     times = uniform_grid(t0, t_end - t0, step)
-    if times[-1] >= t_end or (t_end - times[-1]) <= 1e-9 * step:
+    if len(times) > 1 and (times[-1] >= t_end or t_end - times[-1] <= 1e-9 * step):
         times[-1] = t_end
     else:
         times.append(t_end)
@@ -290,16 +280,9 @@ def integrate(
     else:
         _run_rkf45(coefficients, params, t_end, step, tol, record, nodes)
 
-    return Trajectory(
-        times=tuple(times),
-        B=tuple(cols_B),
-        B_star=tuple(cols_S),
-        p=tuple(cols_p),
-        q=tuple(cols_q),
-        method=method,
-        step=step if method == "rk4" else None,
-        tolerance=tol if method == "rkf45" else None,
-    )
+    return Trajectory(times=tuple(times), B=tuple(cols_B), B_star=tuple(cols_S), p=tuple(cols_p),
+                      q=tuple(cols_q), method=method, step=step if method == "rk4" else None,
+                      tolerance=tol if method == "rkf45" else None)
 
 
 def _run_rk4(coefficients, start, params: ScenarioParams, t_end, step, record, nodes=()) -> None:

@@ -1,4 +1,5 @@
-"""Exception types, and the input checks and text-file read shared across the package."""
+"""Exception types, the immutable record base, and the input checks and
+text-file read shared across the package."""
 
 import math
 
@@ -70,11 +71,68 @@ def squared(x: float, name: str) -> float:
         raise DomainError(f"{name} = {x!r} overflows when squared") from None
 
 
-def check_fields(obj, bounds: dict) -> None:
-    """Store each frozen-dataclass field named in bounds as checked(value, name, bound),
-    with -0.0 stored as 0.0 so that a field prints the same wherever it goes."""
-    for name, bound in bounds.items():
-        object.__setattr__(obj, name, checked(getattr(obj, name), name, bound) + 0.0)
+class Record:
+    """Base of the package's immutable records, which generates no code.
+
+    A subclass's annotated names, in order, are its fields; a value in its
+    body is a default. Each field is given once, by position or keyword.
+    One named in _bounds is stored as checked(value, name, bound) + 0.0,
+    so -0.0 as 0.0; then __post_init__ runs. ==, hash, repr and pickling
+    are a frozen dataclass's, and setting or deleting an attribute raises
+    dataclasses.FrozenInstanceError.
+    """
+
+    _bounds = {}  # field -> strict lower bound of checked (None: any finite value)
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._template = {name: getattr(cls, name, None) for name in cls._fields}
+        cls._required = frozenset(name for name in cls._fields if name not in vars(cls))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, call = self._fields, type(self).__qualname__
+        if args:
+            if len(args) > len(fields) or not kwargs.keys().isdisjoint(fields[:len(args)]):
+                raise TypeError(f"{call}() takes {len(fields)} arguments, each once; got "
+                                f"{len(args)} positional and {sorted(kwargs)} by keyword")
+            kwargs.update(zip(fields, args))
+        values = {**self._template, **kwargs}  # in field order, an unknown name last
+        if len(values) != len(fields) or not kwargs.keys() >= self._required:
+            raise TypeError(f"{call}() got unknown arguments {sorted(values.keys() - fields)} "
+                            f"and lacks {sorted(self._required - kwargs.keys())}")
+        for name, bound in self._bounds.items():
+            values[name] = checked(values[name], name, bound) + 0.0
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Checks that need the stored fields; none by default."""
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def _replace(self, **changes) -> "Record":
+        """A copy with the named fields changed, checked as a new record is."""
+        return type(self)(**dict(zip(self._fields, self._astuple()), **changes))
+
+    def __eq__(self, other) -> bool:
+        same = other.__class__ is self.__class__
+        return self._astuple() == other._astuple() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError  # only on this error path
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError  # only on this error path
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def checked_points(points, label: str) -> tuple[tuple[float, float], ...]:

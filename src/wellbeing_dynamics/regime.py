@@ -14,12 +14,11 @@ exponent_g_star, which sweep rows print.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from math import isclose
 
 from .core import ScenarioParams, ratio_analysis
-from .errors import DomainError, checked, squared
+from .errors import DomainError, Record, checked, squared
 
 DEFAULT_EPSILON = 1e-9
 
@@ -49,8 +48,7 @@ class Dominance(str, Enum):
     EQUAL = "Equal"
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(Record):
     """Full classification of one scenario.
 
     interval_j is the open interval where both exponents are positive;
@@ -78,8 +76,7 @@ class RegimeReport:
     crossover_time: float | None
 
 
-@dataclass(frozen=True)
-class FeasibilityRecord:
+class FeasibilityRecord(Record):
     """Whether any admissible n >= 1 falls in the Low band.
 
     The Low band is ]0, low_band_upper[ with low_band_upper the smaller
@@ -94,8 +91,7 @@ class FeasibilityRecord:
     favored_margin: float
 
 
-@dataclass(frozen=True)
-class BracketCheck:
+class BracketCheck(Record):
     """Placement of n_hat relative to the middle band of its case."""
 
     growth_case: GrowthCase
@@ -210,20 +206,10 @@ def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Regime
         crossover_time = log_ratio / (-analysis.g_rate)
 
     return RegimeReport(
-        growth_case=case,
-        boundary_g=boundary_g,
-        boundary_g_star=boundary_g_star,
-        band=band,
-        behavior_g=behavior_g,
-        behavior_g_star=behavior_g_star,
-        n_hat=analysis.n_hat,
-        g_rate=analysis.g_rate,
-        f_value=analysis.f_value,
-        interval_j=interval_j,
-        dominance=dominance,
-        roles_reversed=params.n < 1.0,
-        crossover_time=crossover_time,
-    )
+        growth_case=case, boundary_g=boundary_g, boundary_g_star=boundary_g_star, band=band,
+        behavior_g=behavior_g, behavior_g_star=behavior_g_star, n_hat=analysis.n_hat,
+        g_rate=analysis.g_rate, f_value=analysis.f_value, interval_j=interval_j,
+        dominance=dominance, roles_reversed=params.n < 1.0, crossover_time=crossover_time)
 
 
 def low_band_feasibility(
@@ -232,13 +218,9 @@ def low_band_feasibility(
     """Report whether {n : 1 <= n < Low band's upper edge} is nonempty."""
     case, boundary_g, boundary_g_star = regime_labels(params, checked_epsilon(epsilon))[:3]
     low_band_upper = min(boundary_g, boundary_g_star)
-    return FeasibilityRecord(
-        growth_case=case,
-        low_band_upper=low_band_upper,
-        feasible=low_band_upper > 1.0,
-        own_margin=boundary_g,
-        favored_margin=params.a_star * params.lam / params.b_star,
-    )
+    return FeasibilityRecord(growth_case=case, low_band_upper=low_band_upper,
+                             feasible=low_band_upper > 1.0, own_margin=boundary_g,
+                             favored_margin=params.a_star * params.lam / params.b_star)
 
 
 def verify_nhat_bracketing(
@@ -264,6 +246,4 @@ def verify_nhat_bracketing(
         lower, upper = boundary_g_star, boundary_g
     n_hat = ratio_analysis(params).n_hat
     passed = lower * (1.0 - epsilon) < n_hat < upper * (1.0 + epsilon)
-    return BracketCheck(
-        growth_case=case, lower=lower, n_hat=n_hat, upper=upper, passed=passed
-    )
+    return BracketCheck(growth_case=case, lower=lower, n_hat=n_hat, upper=upper, passed=passed)

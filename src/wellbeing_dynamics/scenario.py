@@ -9,12 +9,11 @@ diagnostic naming the key, so a typo or a second value never passes silently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 
 from .core import ScenarioParams
 from .dynamics import (DEFAULT_STEP, ExponentialIncome, IncomeModel, LinearIncome,
                        TabulatedIncome, uniform_grid)
-from .errors import DomainError, checked, read_text
+from .errors import DomainError, Record, checked, read_text
 from .regime import DEFAULT_EPSILON, checked_epsilon
 
 #: file key -> ScenarioParams field; only "lambda", a Python keyword, is renamed
@@ -34,8 +33,7 @@ _NUMERICS_KEYS = {"step", "epsilon"}
 SWEEPABLE = ("a", "a_star", "b", "b_star", "lambda", "n")
 
 
-@dataclass(frozen=True)
-class NumericsOptions:
+class NumericsOptions(Record):
     """Numerical knobs a scenario file may override.
 
     step is simulate's integrator step and epsilon the default tolerance
@@ -46,12 +44,11 @@ class NumericsOptions:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "step", checked(self.step, "numerics key 'step'", above=0.0))
-        object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon, "numerics key 'epsilon'"))
+        vars(self).update(step=checked(self.step, "numerics key 'step'", above=0.0),
+                          epsilon=checked_epsilon(self.epsilon, "numerics key 'epsilon'"))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A parsed scenario file: parameters, income path (exponential by default), numerics."""
 
     params: ScenarioParams
@@ -181,11 +178,10 @@ def with_param(params: ScenarioParams, name: str, value: float) -> ScenarioParam
     field = PARAM_KEYS.get(name)
     if field is None:
         raise DomainError(f"unknown parameter name {name!r}")
-    return replace(params, **{field: value})
+    return params._replace(**{field: value})
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """A one-parameter grid: name and start/stop/step with start < stop."""
 
     name: str
@@ -199,8 +195,7 @@ class SweepSpec:
                 f"sweep parameter must be one of {', '.join(SWEEPABLE)}; got {self.name!r}"
             )
         for field, above in (("start", None), ("stop", None), ("step", 0.0)):
-            value = checked(getattr(self, field), f"sweep {field}", above=above)
-            object.__setattr__(self, field, value)
+            vars(self)[field] = checked(getattr(self, field), f"sweep {field}", above=above)
         if not self.start < self.stop:
             raise DomainError(
                 f"sweep start must be < stop, got {self.start} >= {self.stop}"

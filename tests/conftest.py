@@ -10,7 +10,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from wellbeing_dynamics import ScenarioParams, cli
@@ -95,4 +94,4 @@ def draw_case_params(rng: random.Random, case: str, **kwargs) -> ScenarioParams:
         factor = uniform(rng, 1.05, 8.0)
     else:
         raise ValueError(f"case must be 'low' or 'high', got {case!r}")
-    return replace(base, lam=critical * factor)
+    return base._replace(lam=critical * factor)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -74,7 +73,7 @@ def test_criterion_1_behavior_grid_under_one_second():
                                       (math.sqrt(lo * hi), Band.MEDIUM),
                                       (2.0 * hi, Band.HIGH))
                         for n, band in placements:
-                            r = classify(replace(p, n=n))
+                            r = classify(p._replace(n=n))
                             assert r.band is band, (p, n, r.band, band)
                             want = EXPECTED_BEHAVIOR[case][band]
                             got = (r.behavior_g, r.behavior_g_star)
@@ -115,7 +114,7 @@ def test_criterion_3_root_annihilates_quadratic_and_signs_oppose():
     for _ in range(10_000):
         p = draw_params(rng, n=(0.05, 8.0))
         r = ratio_analysis(p)
-        at_root = ratio_analysis(replace(p, n=r.n_hat))
+        at_root = ratio_analysis(p._replace(n=r.n_hat))
         rel_residual = abs(at_root.f_value) / (p.b * r.n_hat**2)
         worst_root = max(worst_root, rel_residual)
         assert rel_residual <= 1e-9, (p, at_root.f_value)
@@ -197,7 +196,7 @@ def test_criterion_6_beyond_max_boundary_roles_are_fixed():
         p = draw_params(rng)
         r = classify(p)
         big = max(r.boundary_g, r.boundary_g_star) + 1.0
-        shifted = replace(p, n=big)
+        shifted = p._replace(n=big)
         assert exponent_g(shifted) < 0.0, (p, big)
         assert exponent_g_star(shifted) > 0.0, (p, big)
         rep = classify(shifted)
@@ -212,7 +211,7 @@ def test_criterion_7_symmetric_low_band_is_infeasible():
     rng = random.Random(707)
     for _ in range(1_000):
         p = draw_params(rng)
-        sym = replace(p, a_star=p.a, b_star=p.b)
+        sym = p._replace(a_star=p.a, b_star=p.b)
         rec = low_band_feasibility(sym)
         assert rec.feasible is False, sym
         assert rec.low_band_upper <= 1.0

@@ -199,6 +199,17 @@ class TestSimulate:
         assert r.returncode == 0
         assert len(out.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("mode", ["closed", "ode", "both"])
+    def test_span_within_rounding_of_zero_keeps_the_t0_row(self, scenario, tmp_path, mode):
+        # 1e-12 is less than 1e-9 of the step 0.01: rows at t0 and at t_end, in every mode.
+        out = tmp_path / "traj.csv"
+        r = run_cli("simulate", "--scenario", scenario, "--t-end", "1e-12", "--mode", mode,
+                    "--out", str(out))
+        assert r.returncode == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0", "1e-12"]
+        assert rows[0][1:3] == ["1", "1"]
+
     def test_t_end_before_t0_exits_2(self, scenario, tmp_path):
         r = run_cli("simulate", "--scenario", scenario, "--t-end", "-1",
                     "--out", str(tmp_path / "x.csv"))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -52,7 +51,7 @@ class TestScenarioParams:
         assert p.t0 == 0.0
 
     def test_negative_t0_allowed(self):
-        p = replace(SYM, t0=-5.0)
+        p = SYM._replace(t0=-5.0)
         assert p.t0 == -5.0
 
     @pytest.mark.parametrize("field", [
@@ -62,25 +61,25 @@ class TestScenarioParams:
                                      pytest.param(10**400, id="10**400")])
     def test_rejects_nonpositive_and_nonfinite(self, field, bad):
         with pytest.raises(DomainError, match=field.replace("_", ".")):
-            replace(SYM, **{field: bad})
+            SYM._replace(**{field: bad})
 
     def test_negative_zero_stored_as_zero(self):
         # A -0.0 field would print "-0" where +0.0 prints "0".
-        p = replace(SYM, t0=-0.0)
+        p = SYM._replace(t0=-0.0)
         assert math.copysign(1.0, p.t0) == 1.0
 
     def test_rejects_nonfinite_t0(self):
         with pytest.raises(DomainError):
-            replace(SYM, t0=math.inf)
+            SYM._replace(t0=math.inf)
 
     def test_rejects_nonnumeric(self):
         with pytest.raises(DomainError):
-            replace(SYM, a="fast")
+            SYM._replace(a="fast")
 
 
 class TestExponents:
     def test_plain_decay(self):
-        p = replace(SYM, n=1.0)
+        p = SYM._replace(n=1.0)
         oracle = float(mp.mpf(1.0) * mp.mpf(0.1) - mp.mpf(0.2) * mp.mpf(1.0))
         assert math.isclose(exponent_g(p), oracle, rel_tol=1e-12)
         assert exponent_g(p) < 0
@@ -94,16 +93,16 @@ class TestExponents:
 
     def test_zero_at_own_boundary(self):
         # n = a*lam/b is exactly representable here: 0.1/0.2 == 0.5.
-        p = replace(SYM, n=0.5)
+        p = SYM._replace(n=0.5)
         assert exponent_g(p) == 0.0
-        q = replace(SYM, n=2.0)
+        q = SYM._replace(n=2.0)
         assert exponent_g_star(q) == 0.0
 
     @given(st.floats(min_value=0.1, max_value=5.0),
            st.floats(min_value=0.1, max_value=5.0))
     def test_monotone_in_n(self, n1, n2):
         lo, hi = sorted((n1, n2))
-        p_lo, p_hi = replace(SYM, n=lo), replace(SYM, n=hi)
+        p_lo, p_hi = SYM._replace(n=lo), SYM._replace(n=hi)
         assert exponent_g(p_lo) >= exponent_g(p_hi)
         assert exponent_g_star(p_lo) <= exponent_g_star(p_hi)
 
@@ -117,9 +116,9 @@ class TestClosedForms:
         assert math.isclose(closed_form_B(p, 10.0), oracle, rel_tol=1e-12)
 
     def test_initial_time_returns_B0(self):
-        p = replace(HIGH, B0=3.25)
+        p = HIGH._replace(B0=3.25)
         assert closed_form_B(p, p.t0) == 3.25
-        assert closed_form_B_star(replace(HIGH, B0_star=0.75), HIGH.t0) == 0.75
+        assert closed_form_B_star(HIGH._replace(B0_star=0.75), HIGH.t0) == 0.75
 
     def test_before_initial_time_rejected(self):
         with pytest.raises(DomainError):
@@ -128,7 +127,7 @@ class TestClosedForms:
             closed_form_B_star(HIGH, HIGH.t0 - 1.0)
 
     def test_tiny_loss_coefficient_approaches_pure_growth(self):
-        p = replace(SYM, b=1e-15, n=1.0)
+        p = SYM._replace(b=1e-15, n=1.0)
         pure = SYM.B0 * math.exp(SYM.a * SYM.lam * 20.0)
         assert math.isclose(closed_form_B(p, 20.0), pure, rel_tol=1e-9)
 
@@ -137,7 +136,7 @@ class TestClosedForms:
         rng = random.Random(101)
         for _ in range(50):
             p = draw_params(rng)
-            swapped = replace(p, a=p.a_star, a_star=p.a, b=p.b_star,
+            swapped = p._replace(a=p.a_star, a_star=p.a, b=p.b_star,
                               b_star=p.b, n=1.0 / p.n, B0=p.B0_star,
                               B0_star=p.B0)
             t = p.t0 + 17.0
@@ -147,7 +146,7 @@ class TestClosedForms:
     def test_overflow_names_t_and_log_value(self):
         # For B the exponential overflows; for B* it is finite and its
         # product with B0_star is not.
-        p = replace(HIGH, a=10.0, B0_star=1e300)
+        p = HIGH._replace(a=10.0, B0_star=1e300)
         with pytest.raises(OverflowError, match=r"^B overflows at t = 800: ln B = 740$"):
             closed_form_B(p, 800.0)
         with pytest.raises(OverflowError, match=r"^B_star overflows at t = 300: ln B_star = 710\.77"):
@@ -158,7 +157,7 @@ class TestClosedForms:
     def test_from_logarithm_when_exponential_underflows(self, t):
         # exp(-0.05 * t) is 0.0 at t = 15000 and subnormal at t = 14800, while
         # B = 1e300 * exp(-0.05 * t) is a normal float at both.
-        p = replace(HIGH, B0=1e300, n=3.0)
+        p = HIGH._replace(B0=1e300, n=3.0)
         oracle = mp.exp(mp.log(mp.mpf(1e300)) + mp.mpf(exponent_g(p)) * mp.mpf(t))
         assert math.isclose(closed_form_B(p, t), float(oracle), rel_tol=1e-12)
 
@@ -290,7 +289,7 @@ class TestRatioAnalysis:
                           + mp.sqrt(mp.mpf(d_oracle))) / (2 * mp.mpf(0.1)))
         assert math.isclose(r.n_hat, n_oracle, rel_tol=1e-12)
         # The root annihilates the sign quadratic.
-        at_root = ratio_analysis(replace(p, n=r.n_hat))
+        at_root = ratio_analysis(p._replace(n=r.n_hat))
         assert abs(at_root.f_value) <= 1e-9 * p.b * r.n_hat ** 2
 
     def test_root_when_gap_term_dwarfs_loss_rates(self):
@@ -313,7 +312,7 @@ class TestRatioAnalysis:
     @settings(deadline=None)
     def test_quotient_identity(self, n):
         # g(n) == -f(n)/n up to roundoff.
-        r = ratio_analysis(replace(HIGH, n=n))
+        r = ratio_analysis(HIGH._replace(n=n))
         scale = max(abs(r.g_rate), abs(r.f_value / n), 1e-12)
         assert abs(r.g_rate + r.f_value / n) <= 1e-12 * max(scale, 1.0)
 
@@ -325,33 +324,33 @@ class TestRatioAnalysis:
 
 class TestWellbeingRatio:
     def test_initial_ratio(self):
-        p = replace(HIGH, B0=3.0, B0_star=2.0)
+        p = HIGH._replace(B0=3.0, B0_star=2.0)
         assert wellbeing_ratio(p, p.t0) == 1.5
 
     def test_fully_symmetric_stays_one(self):
-        p = replace(SYM, n=1.0)
+        p = SYM._replace(n=1.0)
         for t in (0.0, 1.0, 10.0, 50.0):
             assert wellbeing_ratio(p, t) == 1.0
 
     def test_overflow_names_t_and_log_value(self):
         # Rate 0.24 at n = 0.2: ln(B/B*) = 2400 at t = 1e4.
-        p = replace(HIGH, n=0.2)
+        p = HIGH._replace(n=0.2)
         message = r"^B/B_star overflows at t = 10000: ln B/B_star = 2400$"
         with pytest.raises(OverflowError, match=message):
             wellbeing_ratio(p, 1e4)
 
     def test_representable_through_overflowing_product(self):
         # exp(480) * 1e200 overflows; the ratio exp(480) does not.
-        p = replace(HIGH, n=0.2, B0=1e200, B0_star=1e200)
+        p = HIGH._replace(n=0.2, B0=1e200, B0_star=1e200)
         assert math.isclose(wellbeing_ratio(p, 2000.0), math.exp(480.0), rel_tol=1e-12)
         # A quotient past the float range at t0 that the decay brings back.
-        p = replace(HIGH, B0=1e200, B0_star=1e-200)
+        p = HIGH._replace(B0=1e200, B0_star=1e-200)
         g = ratio_analysis(p).g_rate
         assert wellbeing_ratio(p, 9000.0) == math.exp(g * 9000.0) * 1e200 / 1e-200
 
     def test_from_logarithm_when_exponential_underflows(self):
         # exp(g * 17900) = e^-745.8 underflows; B0/B0_star = 1e400 brings the ratio back.
-        p = replace(HIGH, B0=1e200, B0_star=1e-200)
+        p = HIGH._replace(B0=1e200, B0_star=1e-200)
         g = ratio_analysis(p).g_rate
         oracle = mp.exp(mp.log(mp.mpf(1e200)) - mp.log(mp.mpf(1e-200)) + mp.mpf(g) * 17900)
         assert math.isclose(wellbeing_ratio(p, 17900.0), float(oracle), rel_tol=1e-12)

@@ -10,7 +10,6 @@ import typing
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -265,6 +264,18 @@ class TestTimeGrid:
     def test_step_larger_than_span(self):
         assert time_grid(0.0, 1.0, 3.0) == [0.0, 1.0]
 
+    def test_span_within_rounding_of_zero_keeps_t0(self):
+        # 0 < t_end - t0 <= 1e-9 * step: the one grid point is t0, and t_end follows it.
+        assert time_grid(0.0, 1e-12, 0.01) == [0.0, 1e-12]
+        assert time_grid(3.0, 3.0 + 4.5e-16, 1.0) == [3.0, 3.0 + 4.5e-16]
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_span_within_rounding_of_zero_integrates_to_t_end(self, method):
+        p = ExponentialIncome(HIGH.p0, HIGH.lam)
+        tr = integrate(p, p.scaled(HIGH.n), HIGH, 1e-12, method=method)
+        assert tr.times == (0.0, 1e-12)
+        assert tr.B[-1] == pytest.approx(closed_form_B(HIGH, 1e-12), rel=1e-15)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             time_grid(0.0, 1.0, 0.0)
@@ -322,7 +333,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("method", ["rk4", "rkf45"])
     def test_income_overflow_raises_with_last_state(self, method):
         # exp(1e100 * t) overflows at the first stage after t0.
-        params = replace(HIGH, lam=1e100)
+        params = HIGH._replace(lam=1e100)
         p, q = self.exponential_pair(params)
         with pytest.raises(IntegrationError, match=r"^income overflows at t = ") as exc_info:
             integrate(p, q, params, 5.0, method=method)
@@ -332,7 +343,7 @@ class TestIntegrate:
     def test_state_overflow_raises_with_last_finite_state(self):
         # b = 1e3 makes h * c_B = -15, outside RK4's stability region: each
         # step multiplies B by about 1.6e3 until it overflows at t = 0.95.
-        params = replace(HIGH, b=1e3)
+        params = HIGH._replace(b=1e3)
         p, q = self.exponential_pair(params)
         with pytest.raises(IntegrationError,
                            match=r"^state left the positive domain at t = 0\.95") as exc_info:
@@ -374,7 +385,7 @@ class TestIntegrate:
             assert math.isclose(S, want_S, rel_tol=1e-6)
 
     def test_income_hitting_zero_aborts_with_last_state(self):
-        params = replace(HIGH, p0=1.0)
+        params = HIGH._replace(p0=1.0)
         p = LinearIncome(1.0, -0.3)  # crosses zero at t = 10/3
         q = ExponentialIncome(params.n, params.lam)
         with pytest.raises(IntegrationError) as exc_info:
@@ -388,7 +399,7 @@ class TestIntegrate:
     def test_tabulated_window_too_short_rejected(self):
         m = TabulatedIncome(((0.0, 1.0), (1.0, 2.0)))
         with pytest.raises((DomainError, IntegrationError)):
-            integrate(m, m, replace(HIGH, p0=1.0), 5.0, step=0.1)
+            integrate(m, m, HIGH._replace(p0=1.0), 5.0, step=0.1)
 
     def test_invalid_method_and_times(self):
         p, q = self.exponential_pair(HIGH)
@@ -409,8 +420,8 @@ class TestIntegrate:
             assert all(v > 0 for v in tr.B_star)
 
     def test_time_translation_invariance(self):
-        base = replace(HIGH, t0=0.0)
-        shifted = replace(HIGH, t0=37.0)
+        base = HIGH._replace(t0=0.0)
+        shifted = HIGH._replace(t0=37.0)
         tr0 = integrate(*self.exponential_pair(base), base, 12.0, step=0.01)
         tr1 = integrate(*self.exponential_pair(shifted), shifted, 49.0, step=0.01)
         assert len(tr0.times) == len(tr1.times)
@@ -549,7 +560,7 @@ class TestRK4StageSharing:
         self.assert_matches_reference(p, p.scaled(HIGH.n), HIGH, 20.0, 0.01)
 
     def test_linear(self):
-        params = replace(HIGH, b=0.07, a_star=0.6)
+        params = HIGH._replace(b=0.07, a_star=0.6)
         self.assert_matches_reference(LinearIncome(2.0, 0.3), LinearIncome(3.0, 0.1),
                                       params, 10.0, 0.05)
 
@@ -570,7 +581,7 @@ class TestRK4StageSharing:
 
     def test_grid_starting_below_zero(self):
         # The last step crosses zero, and there t + h != t_next.
-        params = replace(HIGH, t0=-1.18)
+        params = HIGH._replace(t0=-1.18)
         grid = time_grid(params.t0, 0.01, 0.1)
         assert grid[-2] + (grid[-1] - grid[-2]) != grid[-1]
         # A steep income anchored at 0, so that a time one ulp off changes the floats.
@@ -583,7 +594,7 @@ class TestRK4StageSharing:
         grid = [-0.1, 0.3, 0.7, 1.1]
         assert grid[0] + (grid[1] - grid[0]) != grid[1]
         monkeypatch.setattr(dynamics, "time_grid", lambda t0, t_end, step: list(grid))
-        params = replace(HIGH, t0=-0.1)
+        params = HIGH._replace(t0=-0.1)
         p = ExponentialIncome(params.p0, 20.0)
         self.assert_matches_reference(p, p.scaled(params.n), params, 1.1, 0.4)
         # The income at 0.3 serves both its record and the next k1: one
@@ -651,7 +662,7 @@ class TestOneEvaluationPerTime:
     @pytest.mark.parametrize("p,q", income_pairs())
     def test_rkf45_matches_resampling_loop(self, monkeypatch, p, q, case, t0, t_end, step, tol,
                                            coefficients):
-        params = replace(HIGH, t0=t0, **coefficients)
+        params = HIGH._replace(t0=t0, **coefficients)
         counts = count_income_calls(monkeypatch)
         tr = integrate(p, q, params, t_end, method="rkf45", step=step, tol=tol)
         attempts, accepted = (counts["derivative"] - 2) / 12, len(tr.times) - 1
@@ -679,7 +690,7 @@ def translated(model, shift):
     """The income model with its time axis moved by shift."""
     if isinstance(model, TabulatedIncome):
         return TabulatedIncome(tuple((t + shift, v) for t, v in model.points))
-    return replace(model, t0=model.t0 + shift)
+    return model._replace(t0=model.t0 + shift)
 
 
 class TestTimeTranslation:
@@ -706,7 +717,7 @@ class TestTimeTranslation:
             logs = [params.lam * k + uniform(rng, 0.0, 0.1) for k in range(52)]
             p = TabulatedIncome(tuple((t0 + k, params.p0 * math.exp(x))
                                       for k, x in enumerate(logs)))
-        moved = replace(params, t0=t0 + shift)
+        moved = params._replace(t0=t0 + shift)
         p_moved = translated(p, shift)
         for method, bound in (("rk4", 1e-12), ("rkf45", self.RKF45_BOUND[kind])):
             tr = integrate(p, p.scaled(params.n), params, t_end, method=method, step=0.1)
@@ -1120,7 +1131,7 @@ class TestStepsEndOnNodes:
         t_end = {"on a node": p.nodes[20], "off the nodes": t0 + 7.5,
                  "short of the first step": t0 + 0.2,
                  "an ulp past a node": math.nextafter(p.nodes[20], math.inf)}[where]
-        params = replace(HIGH, t0=t0)
+        params = HIGH._replace(t0=t0)
         for q in (p.scaled(1.7), ExponentialIncome(3.0, 0.1, t0), LinearIncome(3.0, 0.1, t0)):
             tr = integrate(p, q, params, t_end, method="rkf45", step=0.37)
             assert tr.times[-1] == t_end

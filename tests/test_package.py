@@ -87,7 +87,7 @@ def test_imports_load_only_the_submodules_they_use():
         print(([getattr(wd, m) is sys.modules["wellbeing_dynamics." + m] for m in %r],
                hasattr(wd, "cli")))
         import wellbeing_dynamics.cli
-        unused = {"pathlib", "importlib.resources", "typing"}
+        unused = {"pathlib", "importlib.resources", "typing", "dataclasses", "inspect"}
         print((wd.cli.__name__, sorted(unused & set(sys.modules))))
     """ % SUBMODULES
     r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
@@ -102,5 +102,5 @@ def test_imports_load_only_the_submodules_they_use():
     # Reading a submodule imports it; cli stays unbound until it is imported.
     assert submodules == ([True] * len(SUBMODULES), False)
     # The CLI reads files with open(), loads the bundled data's importlib.resources only on
-    # use, and its annotations are strings.
+    # use, its annotations are strings, and its records are errors.Record, not dataclasses.
     assert cli == ("wellbeing_dynamics.cli", [])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -59,12 +58,12 @@ class TestGrowthCase:
         assert growth_case(HIGH) is GrowthCase.HIGH
 
     def test_critical_exact(self):
-        p = replace(LOW, lam=math.sqrt(LOW.b * LOW.b_star / (LOW.a * LOW.a_star)))
+        p = LOW._replace(lam=math.sqrt(LOW.b * LOW.b_star / (LOW.a * LOW.a_star)))
         assert growth_case(p) is GrowthCase.CRITICAL
 
     def test_critical_within_tolerance(self):
         lam = math.sqrt(0.2 * 0.2 / 1.0)
-        p = replace(LOW, lam=lam * (1.0 + 1e-12))
+        p = LOW._replace(lam=lam * (1.0 + 1e-12))
         assert growth_case(p) is GrowthCase.CRITICAL
         assert growth_case(p, epsilon=1e-14) is not GrowthCase.CRITICAL
 
@@ -87,13 +86,13 @@ class TestClassify:
         assert r.interval_j is None
 
     def test_low_growth_high_band(self):
-        r = classify(replace(LOW, n=10.0))
+        r = classify(LOW._replace(n=10.0))
         assert r.band is Band.HIGH
         assert r.behavior_g is Behavior.DECAYS
         assert r.behavior_g_star is Behavior.DIVERGES
 
     def test_low_growth_low_band(self):
-        r = classify(replace(LOW, n=0.25))
+        r = classify(LOW._replace(n=0.25))
         assert r.band is Band.LOW
         assert r.behavior_g is Behavior.DIVERGES
         assert r.behavior_g_star is Behavior.DECAYS
@@ -112,31 +111,31 @@ class TestClassify:
 
     def test_boundary_band_constant_level(self):
         # n exactly at a*lam/b: the plain group neither grows nor decays.
-        r = classify(replace(LOW, n=0.5))
+        r = classify(LOW._replace(n=0.5))
         assert r.band is Band.BOUNDARY
         assert r.behavior_g is Behavior.CONSTANT
         assert r.behavior_g_star is Behavior.DECAYS
 
     def test_starred_boundary_band(self):
-        r = classify(replace(LOW, n=2.0))
+        r = classify(LOW._replace(n=2.0))
         assert r.band is Band.BOUNDARY
         assert r.behavior_g_star is Behavior.CONSTANT
 
     def test_dominance_equal_at_root(self):
-        r = classify(replace(HIGH, n=1.0))
+        r = classify(HIGH._replace(n=1.0))
         assert r.dominance is Dominance.EQUAL
 
     def test_dominance_plain_group_below_root(self):
-        r = classify(replace(HIGH, n=0.7))
+        r = classify(HIGH._replace(n=0.7))
         assert r.dominance is Dominance.G
 
     def test_roles_reversed_flag(self):
-        assert classify(replace(HIGH, n=0.7)).roles_reversed is True
+        assert classify(HIGH._replace(n=0.7)).roles_reversed is True
         assert classify(HIGH).roles_reversed is False
-        assert classify(replace(HIGH, n=1.0)).roles_reversed is False
+        assert classify(HIGH._replace(n=1.0)).roles_reversed is False
 
     def test_crossover_time_value(self):
-        p = replace(HIGH, B0=2.0, B0_star=1.0)
+        p = HIGH._replace(B0=2.0, B0_star=1.0)
         r = classify(p)
         want = math.log(2.0) / (1.0 / 24.0)
         assert r.crossover_time == pytest.approx(want, rel=1e-12)
@@ -147,7 +146,7 @@ class TestClassify:
         assert classify(HIGH).crossover_time is None
 
     def test_crossover_none_when_rate_zero(self):
-        p = replace(LOW, n=1.0, B0=2.0, B0_star=1.0)  # g == 0 exactly
+        p = LOW._replace(n=1.0, B0=2.0, B0_star=1.0)  # g == 0 exactly
         assert classify(p).crossover_time is None
 
     def test_classification_consistent_with_parts(self):
@@ -185,7 +184,7 @@ class TestTableFidelity:
             for n, band in ((0.5 * lo, Band.LOW),
                             (math.sqrt(lo * hi), Band.MEDIUM),
                             (2.0 * hi, Band.HIGH)):
-                r = classify(replace(p, n=n))
+                r = classify(p._replace(n=n))
                 assert r.band is band
                 assert (r.behavior_g, r.behavior_g_star) == table[band]
                 seen.add(band)
@@ -199,12 +198,12 @@ class TestTableFidelity:
             p = draw_params(rng)
             r0 = classify(p)
             big = max(r0.boundary_g, r0.boundary_g_star) + 1.0
-            r = classify(replace(p, n=big))
+            r = classify(p._replace(n=big))
             assert r.band is Band.HIGH
             assert r.behavior_g is Behavior.DECAYS
             assert r.behavior_g_star is Behavior.DIVERGES
-            assert exponent_g(replace(p, n=big)) < 0
-            assert exponent_g_star(replace(p, n=big)) > 0
+            assert exponent_g(p._replace(n=big)) < 0
+            assert exponent_g_star(p._replace(n=big)) > 0
 
 
 class TestIntervalJ:
@@ -220,7 +219,7 @@ class TestIntervalJ:
         assert classify(LOW).interval_j is None
 
     def test_critical_absent(self):
-        p = replace(LOW, lam=math.sqrt(0.04))
+        p = LOW._replace(lam=math.sqrt(0.04))
         assert classify(p).interval_j is None
 
     def test_presence_iff_high_growth(self):
@@ -232,35 +231,35 @@ class TestIntervalJ:
                 assert j is not None and j[0] < j[1]
                 # Midpoint of J: both groups grow without bound.
                 mid = math.sqrt(j[0] * j[1])
-                assert exponent_g(replace(p, n=mid)) > 0
-                assert exponent_g_star(replace(p, n=mid)) > 0
+                assert exponent_g(p._replace(n=mid)) > 0
+                assert exponent_g_star(p._replace(n=mid)) > 0
             else:
                 assert j is None
 
     def test_interval_monotone_in_coefficients(self):
         base = classify(HIGH).interval_j
 
-        wider_lam = classify(replace(HIGH, lam=0.11)).interval_j
+        wider_lam = classify(HIGH._replace(lam=0.11)).interval_j
         assert wider_lam[0] < base[0] and wider_lam[1] > base[1]
 
-        higher_a = classify(replace(HIGH, a=1.1)).interval_j
+        higher_a = classify(HIGH._replace(a=1.1)).interval_j
         assert higher_a[1] > base[1] and higher_a[0] == base[0]
 
         # Raising the loss coefficient b shrinks the interval from the right.
-        higher_b = classify(replace(HIGH, b=0.06)).interval_j
+        higher_b = classify(HIGH._replace(b=0.06)).interval_j
         assert higher_b[1] < base[1] and higher_b[0] == base[0]
 
-        higher_b_star = classify(replace(HIGH, b_star=0.06)).interval_j
+        higher_b_star = classify(HIGH._replace(b_star=0.06)).interval_j
         assert higher_b_star[0] > base[0] and higher_b_star[1] == base[1]
 
-        higher_a_star = classify(replace(HIGH, a_star=1.1)).interval_j
+        higher_a_star = classify(HIGH._replace(a_star=1.1)).interval_j
         assert higher_a_star[0] < base[0] and higher_a_star[1] == base[1]
 
 
 class TestLowBandFeasibility:
     def test_symmetric_coefficients_never_feasible(self):
         for lam in (0.01, 0.05, 0.1, 0.2, 1.0):
-            p = replace(LOW, lam=lam, b=0.05, b_star=0.05)
+            p = LOW._replace(lam=lam, b=0.05, b_star=0.05)
             rec = low_band_feasibility(p)
             assert rec.feasible is False
             assert rec.low_band_upper <= 1.0
@@ -269,7 +268,7 @@ class TestLowBandFeasibility:
         rng = random.Random(29)
         for _ in range(300):
             p = draw_params(rng)
-            p = replace(p, a_star=p.a, b_star=p.b)
+            p = p._replace(a_star=p.a, b_star=p.b)
             assert low_band_feasibility(p).feasible is False
 
     def test_feasible_requires_asymmetry(self):
@@ -298,7 +297,7 @@ class TestLowBandFeasibility:
         for _ in range(500):
             p = draw_params(rng)
             rec = low_band_feasibility(p)
-            r = classify(replace(p, n=1.0))
+            r = classify(p._replace(n=1.0))
             in_low_band = r.band is Band.LOW
             assert rec.feasible == in_low_band
 
@@ -322,7 +321,7 @@ class TestBracketing:
         assert chk.passed is True
 
     def test_critical_rejected(self):
-        p = replace(LOW, lam=math.sqrt(0.04))
+        p = LOW._replace(lam=math.sqrt(0.04))
         with pytest.raises(DomainError, match="Critical"):
             verify_nhat_bracketing(p)
 
@@ -341,7 +340,7 @@ class TestDominanceRatioConsistency:
         checked = 0
         for _ in range(300):
             p = draw_params(rng)
-            p = replace(p, B0=1.0, B0_star=1.0)
+            p = p._replace(B0=1.0, B0_star=1.0)
             r = classify(p)
             if r.dominance is Dominance.EQUAL:
                 continue
@@ -374,7 +373,7 @@ def labelled_params(draw):
         centre = {"boundary_g": p.a * p.lam / p.b,
                   "boundary_g_star": p.b_star / (p.a_star * p.lam),
                   "n_hat": ratio_analysis(p).n_hat}[anchor]
-        p = replace(p, n=centre * (1.0 + draw(st.floats(-3.0, 3.0)) * epsilon))
+        p = p._replace(n=centre * (1.0 + draw(st.floats(-3.0, 3.0)) * epsilon))
     return p, epsilon
 
 
@@ -402,13 +401,13 @@ class TestRegimeLabels:
         n = max(p.a * p.lam / p.b, p.b_star / (p.a_star * p.lam)) * (1.0 + k * epsilon)
         for _ in range(abs(ulps)):
             n = math.nextafter(n, math.copysign(math.inf, ulps))
-        r = classify(replace(p, n=n), epsilon)
+        r = classify(p._replace(n=n), epsilon)
         assert r.band is not Band.HIGH or r.behavior_g is Behavior.DECAYS
 
     def test_crossover_time_when_level_ratio_underflows(self):
         g = ratio_analysis(HIGH).g_rate
         for B0, B0_star in ((1e-200, 1e200), (1e200, 1e-200)):
-            r = classify(replace(HIGH, B0=B0, B0_star=B0_star))
+            r = classify(HIGH._replace(B0=B0, B0_star=B0_star))
             want = (math.log(B0) - math.log(B0_star)) / -g
             assert r.crossover_time == pytest.approx(want, rel=1e-12)
 
@@ -417,7 +416,7 @@ class TestRegimeLabels:
         ({"a_star": 1e-200, "lam": 1e-200}, "a_star * lam"),
     ])
     def test_underflowed_product_named(self, fields, product):
-        p = replace(HIGH, **fields)
+        p = HIGH._replace(**fields)
         calls = [classify, low_band_feasibility, verify_nhat_bracketing]
         if product == "a * a_star":  # growth_case forms no boundary
             calls.append(growth_case)
@@ -493,10 +492,10 @@ def power_of_two_params(draw):
     nudge = 1.0 + draw(st.floats(-3.0, 3.0)) * epsilon
     anchor = draw(st.sampled_from(["free", "boundary_g", "boundary_g_star"]))
     if anchor == "boundary_g":
-        p = replace(p, b=p.a * p.lam / n * nudge)
+        p = p._replace(b=p.a * p.lam / n * nudge)
     elif anchor == "boundary_g_star":
-        p = replace(p, b_star=p.a_star * p.lam * n * nudge)
-    return replace(p, n=n), epsilon
+        p = p._replace(b_star=p.a_star * p.lam * n * nudge)
+    return p._replace(n=n), epsilon
 
 
 class TestRoleSwap:
@@ -510,7 +509,7 @@ class TestRoleSwap:
     def test_swap_mirrors_the_report(self, drawn):
         p, epsilon = drawn
         r = classify(p, epsilon)
-        s = classify(replace(p, a=p.a_star, a_star=p.a, b=p.b_star, b_star=p.b, n=1.0 / p.n),
+        s = classify(p._replace(a=p.a_star, a_star=p.a, b=p.b_star, b_star=p.b, n=1.0 / p.n),
                      epsilon)
         if math.frexp(p.n)[0] == 0.5:  # n is a power of two: 1/n is exact, and so is each label
             assert (s.growth_case, s.band, s.behavior_g, s.behavior_g_star) == (
@@ -531,5 +530,5 @@ class TestTimeTranslation:
         for k in range(1000):
             params = draw_case_params(rng, ("low", "high")[k % 2], t0=uniform(rng, -1e3, 1e3))
             shift = rng.choice([-1.0, 1.0]) * 10.0 ** uniform(rng, -300.0, 300.0)
-            assert classify(replace(params, t0=params.t0 + shift)) == classify(params)
-            assert classify(replace(params, t0=-0.0)) == classify(params)
+            assert classify(params._replace(t0=params.t0 + shift)) == classify(params)
+            assert classify(params._replace(t0=-0.0)) == classify(params)
