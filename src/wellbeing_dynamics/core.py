@@ -127,6 +127,23 @@ def closed_form_B_star(params: ScenarioParams, t) -> float:
     return grown(params.B0_star, exponent_g_star(params) * _elapsed(params, t), "B_star", t)
 
 
+def closed_form_columns(params: ScenarioParams, times) -> tuple[list[float], list[float]]:
+    """([closed_form_B(params, t) for t in times], the same for B_star) bit for bit, with the same
+    first error, for float times: one exponent each, grown's fast path inline, else the scalar."""
+    columns, t0, exp, inf = [], params.t0, math.exp, math.inf
+    for level, rate, scalar in ((params.B0, exponent_g(params), closed_form_B),
+                                (params.B0_star, exponent_g_star(params), closed_form_B_star)):
+        columns.append(column := [])
+        for t in times:
+            if ((elapsed := t - t0) >= 0.0 and (log_growth := rate * elapsed) < 709.78
+                    and (factor := exp(log_growth)) >= _NORMAL
+                    and _NORMAL <= (value := factor * level) < inf):
+                column.append(value)
+            else:  # log space, or the error the scalar form raises
+                column.append(scalar(params, t))
+    return columns[0], columns[1]
+
+
 def general_wellbeing(
     p: "IncomeModel",
     q: "IncomeModel",
@@ -195,24 +212,22 @@ def sign_quadratic(a: float, a_star: float, b: float, b_star: float, lam: float,
     return gap, b * squared(n, "n") - gap * n - b_star, squared(gap, "(a - a_star) * lam")
 
 
-def ratio_analysis(params: ScenarioParams) -> RatioAnalysis:
-    """Exact ratio rate, sign quadratic, discriminant, and root n_hat.
-
-    g(n) = (a - a_star)*lam - (b*n - b_star/n) is the exact growth rate
-    of ln(B/B*). The quadratic f(n) = b*n**2 - (a - a_star)*lam*n - b_star
-    satisfies g = -f/n for n > 0, so its sign is the opposite of g's.
-    Its discriminant is strictly positive, so the unique positive root
-    n_hat = ((a - a_star)*lam + sqrt(discriminant)) / (2*b) always exists.
-    DomainError when n or (a - a_star)*lam overflows when squared.
-    """
-    p = params
-    gap_term, f_value, gap_squared = sign_quadratic(p.a, p.a_star, p.b, p.b_star, p.lam, p.n)
-    g_rate = gap_term - (p.b * p.n - p.b_star / p.n)
-    discriminant = gap_squared + 4.0 * p.b * p.b_star
+def ratio_terms(a: float, a_star: float, b: float, b_star: float, lam: float,
+                n: float) -> tuple[float, float, float, float]:
+    """The fields of RatioAnalysis, (g_rate, f_value, discriminant, n_hat), as plain floats."""
+    gap_term, f_value, gap_squared = sign_quadratic(a, a_star, b, b_star, lam, n)
+    g_rate = gap_term - (b * n - b_star / n)
+    discriminant = gap_squared + 4.0 * b * b_star
     root = math.sqrt(discriminant)  # n_hat's second form: the same root, without cancellation
-    n_hat = ((gap_term + root) / (2.0 * p.b) if gap_term >= 0.0
-             else 2.0 * p.b_star / (root - gap_term))
-    return RatioAnalysis(g_rate=g_rate, f_value=f_value, discriminant=discriminant, n_hat=n_hat)
+    n_hat = (gap_term + root) / (2.0 * b) if gap_term >= 0.0 else 2.0 * b_star / (root - gap_term)
+    return g_rate, f_value, discriminant, n_hat
+
+
+def ratio_analysis(params: ScenarioParams) -> RatioAnalysis:
+    """Exact ratio rate, sign quadratic, discriminant, and root n_hat (RatioAnalysis says
+    why each exists) from ratio_terms. DomainError when n or (a - a_star)*lam overflows squared."""
+    p = params
+    return RatioAnalysis(*ratio_terms(p.a, p.a_star, p.b, p.b_star, p.lam, p.n))
 
 
 def wellbeing_ratio(params: ScenarioParams, t) -> float:

@@ -15,9 +15,10 @@ the coefficients, which RK4 evaluates once per distinct stage time.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
+from operator import sub, truediv
 
-from .core import _NORMAL, INCOME_OVERFLOW, ScenarioParams, closed_form_B, closed_form_B_star
+from .core import _NORMAL, INCOME_OVERFLOW, ScenarioParams, closed_form_columns
 from .errors import DomainError, IntegrationError, Record, checked, checked_points
 
 DEFAULT_STEP = 0.01
@@ -85,56 +86,49 @@ class TabulatedIncome(Record):
     the segment from node i to node i + 1, p'/p is its constant log-slope
     ln(v_{i+1} / v_i) / (t_{i+1} - t_i), as in general_wellbeing; at a
     node, derivative takes the segment on the side IncomeModel names (an
-    end node has one). value and derivative share one lookup: a range
-    check and one bisect find either the node at t, whose stored value is
-    returned exactly, or the segment holding t with its weight, which
-    derivative reuses after a value call at the same t. Queries outside
-    the sampled range are refused rather than extrapolated.
+    end node has one). A lookup is one bisect_right over the nodes into a
+    segment table: entry k holds (t_lo, span, v_lo, v_hi, ratio, the right
+    rate, the left rate at t_lo) of the segment from node k - 1. A node
+    gives its stored value exactly, else v_lo * ratio ** w at t's weight w;
+    value keeps (t, p(t), entry) for derivative at the same t. Queries
+    outside the sampled range are refused rather than extrapolated.
     """
 
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         pts = checked_points(self.points, "tabulated income")
-        values = [v for _, v in pts]
-        # _ratios: each segment's values[i + 1] / values[i], None where not a normal float;
-        # _rates: its log-slope, from the logarithms where the ratio is None.
-        ratios = [v1 / v0 for v0, v1 in zip(values, values[1:])]
-        ratios = [r if _NORMAL <= r < math.inf else None for r in ratios]
-        rates = [(math.log(r) if r else math.log(v1) - math.log(v0)) / (t1 - t0)
-                 for r, (t0, v0), (t1, v1) in zip(ratios, pts, pts[1:])]
-        vars(self).update(points=pts, nodes=tuple(t for t, _ in pts), _values=values,
-                          _ratios=ratios, _rates=rates, _last=(None,))
-
-    def _sample(self, t: float) -> tuple[float, int, float | None, float]:
-        """(t, i, w, p(t)), kept as _last: w is None at node i, else t's weight in segment i."""
-        times = self.nodes
-        if not times[0] <= t <= times[-1]:
-            raise DomainError(f"t = {t} outside the tabulated range [{times[0]}, {times[-1]}]")
-        i = bisect_left(times, t)
-        values = self._values
-        if times[i] == t:
-            last = (t, i, None, values[i])
-        else:
-            i -= 1  # times[i] < t < times[i + 1]; i >= 0 because t > times[0].
-            w = (t - times[i]) / (times[i + 1] - times[i])
-            ratio = self._ratios[i]
-            if ratio is None:  # interpolate the logarithms instead, which stay in range
-                last = (t, i, w, math.exp((1.0 - w) * math.log(values[i])
-                                          + w * math.log(values[i + 1])))
-            else:
-                last = (t, i, w, values[i] * ratio ** w)
-        self.__dict__["_last"] = last
-        return last
+        # Entry 0 and the last node's have no span: t is out of range there off a node. A ratio
+        # that is not a normal float is None: rate and value then come from the logarithms.
+        segments, left = [(None,) * 7], None
+        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+            ratio = r if _NORMAL <= (r := v1 / v0) < math.inf else None
+            rate = (math.log(ratio) if ratio else math.log(v1) - math.log(v0)) / (t1 - t0)
+            segments.append((t0, t1 - t0, v0, v1, ratio, rate, rate if left is None else left))
+            left = rate
+        segments.append((pts[-1][0], None, pts[-1][1], None, None, left, left))
+        vars(self).update(points=pts, nodes=tuple(t for t, _ in pts),
+                          _segments=tuple(segments), _last=(None, None, None))
 
     def value(self, t: float) -> float:
-        return self._sample(t)[3]
+        t_lo, span, v_lo, v_hi, ratio, _, _ = segment = self._segments[bisect_right(self.nodes, t)]
+        if t == t_lo:
+            v = v_lo
+        elif span is None:  # t before the first node, past the last, or nan
+            lo, hi = self.nodes[0], self.nodes[-1]
+            raise DomainError(f"t = {t} outside the tabulated range [{lo}, {hi}]")
+        else:
+            w = (t - t_lo) / span
+            v = (v_lo * ratio ** w if ratio is not None
+                 else math.exp((1.0 - w) * math.log(v_lo) + w * math.log(v_hi)))
+        self.__dict__["_last"] = (t, v, segment)
+        return v
 
     def derivative(self, t: float, left: bool = False) -> float:
-        _, i, w, v = last if (last := self._last)[0] == t else self._sample(t)
-        if w is None and (left and i > 0 or i == len(self._rates)):
-            i -= 1  # node i: the segment before it
-        return v * self._rates[i]
+        last_t, v, segment = self._last
+        if last_t != t:
+            v, segment = self.value(t), self._last[2]
+        return v * segment[6 if left and t == segment[0] else 5]
 
     def scaled(self, n: float) -> TabulatedIncome:
         """The path n * p(t), sampled at the same nodes."""
@@ -241,21 +235,22 @@ def integrate(
 
     a, b = params.a, params.b
     a_s, b_s = params.a_star, params.b_star
-    times, cols_B, cols_S, cols_p, cols_q = [], [], [], [], []
+    p_value, q_value, p_rate, q_rate = p.value, q.value, p.derivative, q.derivative
+    samples = []  # one (t, B, B_star, p, q) per recorded time
 
     def failure(message: str) -> IntegrationError:
         # Carries the last recorded sample; none exists before t0 is recorded.
-        last = (times[-1], (cols_B[-1], cols_S[-1])) if times else (None, None)
-        return IntegrationError(message, last_time=last[0], last_state=last[1])
+        t, B, S, _, _ = samples[-1] if samples else (None,) * 5
+        return IntegrationError(message, last_time=t, last_state=None if t is None else (B, S))
 
     def coefficients(t: float, left: bool = False) -> tuple[float, float, float, float]:
         # The only income call site: (c_B, c_S, p, q) at t, for the RHS (c_B * B, c_S * S).
         # left: a step ends at t, so the incomes' rates come from the left (IncomeModel).
         try:
-            pv, qv = p.value(t), q.value(t)
+            pv, qv = p_value(t), q_value(t)
             if pv <= 0.0 or qv <= 0.0:
                 raise failure(f"non-positive income sample at t = {t}")
-            dp, dq = p.derivative(t, left), q.derivative(t, left)
+            dp, dq = p_rate(t, left), q_rate(t, left)
             return a * dp / pv - b * qv / pv, a_s * dq / qv - b_s * pv / qv, pv, qv
         except OverflowError:
             raise failure(INCOME_OVERFLOW % t) from None
@@ -266,11 +261,7 @@ def integrate(
             if not all(map(math.isfinite, sample)):
                 raise failure(INCOME_OVERFLOW % t)
             raise failure(f"state left the positive domain at t = {t}")
-        times.append(t)
-        cols_B.append(B)
-        cols_S.append(S)
-        cols_p.append(sample[2])
-        cols_q.append(sample[3])
+        samples.append((t, B, S, sample[2], sample[3]))
 
     start = coefficients(params.t0)
     record(params.t0, params.B0, params.B0_star, start)
@@ -280,8 +271,9 @@ def integrate(
     else:
         _run_rkf45(coefficients, params, t_end, step, tol, record, nodes)
 
-    return Trajectory(times=tuple(times), B=tuple(cols_B), B_star=tuple(cols_S), p=tuple(cols_p),
-                      q=tuple(cols_q), method=method, step=step if method == "rk4" else None,
+    times, cols_B, cols_S, cols_p, cols_q = zip(*samples)
+    return Trajectory(times=times, B=cols_B, B_star=cols_S, p=cols_p, q=cols_q, method=method,
+                      step=step if method == "rk4" else None,
                       tolerance=tol if method == "rkf45" else None)
 
 
@@ -408,14 +400,19 @@ def cross_validate(
     trajectory = integrate(
         p, p.scaled(params.n), params, params.t0 + horizon, method=method, step=step, tol=tol
     )
-    B_ref = (closed_form_B(params, t) for t in trajectory.times)
-    S_ref = (closed_form_B_star(params, t) for t in trajectory.times)
-    return max_relative_deviation(trajectory.B, B_ref, trajectory.B_star, S_ref)
+    B_ref, S_ref = closed_form_columns(params, trajectory.times)
+    return max_relative_deviation(trajectory.times, trajectory.B, B_ref, trajectory.B_star, S_ref)
 
 
-def max_relative_deviation(B, B_ref, S, S_ref) -> float:
-    """Worst |x - ref| / ref over both well-being columns; 0 for no rows."""
-    worst = 0.0
-    for B_num, B_exact, S_num, S_exact in zip(B, B_ref, S, S_ref):
-        worst = max(worst, abs(B_num - B_exact) / B_exact, abs(S_num - S_exact) / S_exact)
-    return worst
+def max_relative_deviation(times, B, B_ref, S, S_ref) -> float:
+    """Worst |x - ref| / ref over both well-being columns; 0 for no rows. The columns must be
+    sequences, not iterators: each reference is read twice. A reference of 0.0 (an underflowed
+    closed form) raises ZeroDivisionError naming the column and the first such t, B first."""
+    try:
+        return max(max(map(truediv, map(abs, map(sub, B, B_ref)), B_ref), default=0.0),
+                   max(map(truediv, map(abs, map(sub, S, S_ref)), S_ref), default=0.0))
+    except ZeroDivisionError:
+        at, name = min((ref.index(0.0), name) for name, ref in (("B", B_ref), ("B_star", S_ref))
+                       if 0.0 in ref)
+        raise ZeroDivisionError(f"{name} underflows to 0 at t = {times[at]:.12g}: "
+                                "no relative deviation from it") from None

@@ -17,7 +17,7 @@ import math
 from enum import Enum
 from math import isclose
 
-from .core import ScenarioParams, ratio_analysis
+from .core import ScenarioParams, ratio_analysis, ratio_terms
 from .errors import DomainError, Record, checked, squared
 
 DEFAULT_EPSILON = 1e-9
@@ -141,7 +141,7 @@ def coefficient_labels(a: float, a_star: float, b: float, b_star: float, lam: fl
     """Growth case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star
     and the exponents a*lam - b*n and a_star*lam - b_star/n (the floats of core's
     exponent_g and exponent_g_star) from the six coefficients, for an epsilon the
-    caller has checked. classify (through regime_labels) and sweep rows share it.
+    caller has checked. classify, regime_labels and sweep rows share it.
 
     Raises:
         DomainError: a_star*lam underflows to 0, lam**2 overflows, or
@@ -183,32 +183,32 @@ def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Regime
     compares n against n_hat under the equal-start convention.
     """
     epsilon = checked_epsilon(epsilon)
-    case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star = regime_labels(
-        params, epsilon
-    )
-    analysis = ratio_analysis(params)
+    coefficients = params.a, params.a_star, params.b, params.b_star, params.lam, params.n
+    case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star = coefficient_labels(
+        *coefficients, epsilon)[:6]
+    g_rate, f_value, _, n_hat = ratio_terms(*coefficients)
     interval_j = (boundary_g_star, boundary_g) if case is GrowthCase.HIGH else None
 
-    if math.isclose(params.n, analysis.n_hat, rel_tol=epsilon):
+    if math.isclose(params.n, n_hat, rel_tol=epsilon):
         dominance = Dominance.EQUAL
-    elif params.n < analysis.n_hat:
+    elif params.n < n_hat:
         dominance = Dominance.G
     else:
         dominance = Dominance.G_STAR
 
     crossover_time = None
-    if params.B0 != params.B0_star and analysis.g_rate != 0.0:
+    if params.B0 != params.B0_star and g_rate != 0.0:
         level_ratio = params.B0 / params.B0_star
         if 0.0 < level_ratio < math.inf:
             log_ratio = math.log(level_ratio)
         else:  # the quotient under- or overflows; the logarithms do not
             log_ratio = math.log(params.B0) - math.log(params.B0_star)
-        crossover_time = log_ratio / (-analysis.g_rate)
+        crossover_time = log_ratio / (-g_rate)
 
     return RegimeReport(
         growth_case=case, boundary_g=boundary_g, boundary_g_star=boundary_g_star, band=band,
-        behavior_g=behavior_g, behavior_g_star=behavior_g_star, n_hat=analysis.n_hat,
-        g_rate=analysis.g_rate, f_value=analysis.f_value, interval_j=interval_j,
+        behavior_g=behavior_g, behavior_g_star=behavior_g_star, n_hat=n_hat,
+        g_rate=g_rate, f_value=f_value, interval_j=interval_j,
         dominance=dominance, roles_reversed=params.n < 1.0, crossover_time=crossover_time)
 
 

@@ -303,6 +303,17 @@ class TestSimulate:
         assert r.stderr == f"error: {name} overflows at t = {t}: ln {name} = {log_value}\n"
         assert not out.exists()
 
+    def test_underflowed_closed_form_in_both_mode_exits_1(self, tmp_path):
+        # B's exponent is -1.19: from t = 626.17 closed-form B is 0.0 while RK4's B is
+        # subnormal, so no relative deviation exists. The run writes nothing.
+        sc = write_scenario(tmp_path / "s.json", a=0.5, b=0.3, **{"lambda": 0.02}, n=4.0, p0=1.0)
+        out = tmp_path / "x.csv"
+        r = run_cli("simulate", "--scenario", sc, "--t-end", "700", "--mode", "both",
+                    "--out", str(out))
+        err = "error: B underflows to 0 at t = 626.17: no relative deviation from it\n"
+        assert (r.returncode, r.stdout, r.stderr) == (1, "", err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["closed", "ode", "both"])
     def test_one_time_grid_per_run(self, scenario, tmp_path, monkeypatch, mode):
         # A deterministic work counter: each module's binding of time_grid
@@ -338,6 +349,15 @@ class TestRowTemplate:
     def test_row_template_equals_joined_fields(self, row):
         template = ",".join(["%.12g"] * len(row))
         assert template % tuple(row) == ",".join(format(x, ".12g") for x in row)
+
+    @given(st.integers(1, 7).flatmap(lambda width: st.lists(
+        st.lists(st.floats(allow_subnormal=True), min_size=width, max_size=width),
+        min_size=1, max_size=30)))
+    def test_one_format_for_the_table_equals_one_per_row(self, rows):
+        # simulate's table: one template for all rows, applied once to the flattened columns.
+        row = ",".join(["%.12g"] * len(rows[0]))
+        table = "\n".join([row] * len(rows)) % tuple(x for values in rows for x in values)
+        assert table == "\n".join(row % tuple(values) for values in rows)
 
 
 class TestSweep:

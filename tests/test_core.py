@@ -23,6 +23,7 @@ from wellbeing_dynamics import (
     ratio_analysis,
     wellbeing_ratio,
 )
+from wellbeing_dynamics.core import closed_form_columns, ratio_terms
 from conftest import draw_params, uniform
 
 mp.mp.dps = 50
@@ -166,6 +167,71 @@ class TestClosedForms:
     def test_strictly_positive(self, dt):
         assert closed_form_B(HIGH, HIGH.t0 + dt) > 0.0
         assert closed_form_B_star(HIGH, HIGH.t0 + dt) > 0.0
+
+
+def per_time_columns(params, times):
+    """The oracle of closed_form_columns: one scalar call per time, B's column first."""
+    return ([closed_form_B(params, t) for t in times],
+            [closed_form_B_star(params, t) for t in times])
+
+
+def raised(call):
+    """(type, message) of what call raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestClosedFormColumns:
+    """closed_form_columns equals the per-time calls bit for bit, and raises what they raise."""
+
+    @staticmethod
+    def assert_same(params, times):
+        got, want = closed_form_columns(params, times), per_time_columns(params, times)
+        assert [[x.hex() for x in col] for col in got] == [[x.hex() for x in col] for col in want]
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 300.0), st.floats(0.05, 2.0))
+    @settings(deadline=None)
+    def test_fast_rows(self, seed, span, step):
+        p = draw_params(random.Random(seed), t0=-3.5)
+        times = [p.t0 + k * step for k in range(int(span / step) + 1)] + [p.t0 + span]
+        self.assert_same(p, times)
+
+    @pytest.mark.parametrize("B0", [1e300, 1e-300, 5e-324])
+    def test_log_space_rows(self, B0):
+        # exponent_g = -0.05, so ln of B's exponential reaches -750 at t = 15000, where exp
+        # underflows and only the logarithms keep B = 1e300 * exp(-750) in range. B_star's
+        # exponential (exponent 1/12) overflows from t = 8518 while B_star = 1e-300 * exp(...)
+        # stays in range. Subnormal factors and values in between take the scalar path too.
+        p = HIGH._replace(n=3.0, B0=B0, B0_star=1e-300)
+        times = [100.0 * k for k in range(150)] + [14150.0, 14800.0, 15000.0]
+        assert exponent_g(p) * 15000.0 == pytest.approx(-750.0)
+        self.assert_same(p, times)
+
+    @pytest.mark.parametrize("fields", [
+        {"a": 10.0, "lam": 1.0},                  # B overflows first
+        {"a_star": 10.0, "lam": 1.0},             # only B_star overflows
+        {"a": 10.0, "a_star": 10.0, "lam": 1.0},  # both: B's error comes first
+        {"B0_star": 1e300},                       # B_star's level, not its exponential
+    ])
+    def test_overflow_message(self, fields):
+        p = HIGH._replace(**fields)
+        times = [k * 0.75 for k in range(401)]
+        error = raised(lambda: per_time_columns(p, times))
+        assert error is not None and error[0] is OverflowError
+        assert raised(lambda: closed_form_columns(p, times)) == error
+
+    @pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf, -math.inf])
+    def test_time_errors(self, bad):
+        times = [0.0, 1.0, bad, 2.0]
+        error = raised(lambda: per_time_columns(HIGH, times))
+        assert error is not None and error[0] is DomainError
+        assert raised(lambda: closed_form_columns(HIGH, times)) == error
+
+    def test_no_times(self):
+        assert closed_form_columns(HIGH, []) == ([], [])
 
 
 class TestGeneralWellbeing:
@@ -320,6 +386,13 @@ class TestRatioAnalysis:
         rng = random.Random(23)
         for _ in range(200):
             assert ratio_analysis(draw_params(rng)).discriminant > 0
+
+    def test_float_helper_is_the_record(self):
+        rng = random.Random(29)
+        for _ in range(500):
+            p = draw_params(rng, n=(0.05, 8.0))
+            terms = ratio_terms(p.a, p.a_star, p.b, p.b_star, p.lam, p.n)
+            assert terms == ratio_analysis(p)._astuple()
 
 
 class TestWellbeingRatio:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import sys
 import tracemalloc
@@ -1172,6 +1173,172 @@ class TestStepsEndOnNodes:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+
+class ScanLookup:
+    """TabulatedIncome's lookup before its segment table, kept as the oracle of the table: a
+    range check and a bisect_left give node i exactly, or segment i with t's weight w there;
+    value is v_i * ratio_i ** w, from the logarithms where ratio_i is not a normal float; and
+    derivative takes the log-slope of segment i, of the one before a node i with left or at
+    the last node."""
+
+    def __init__(self, points):
+        self.times = [t for t, _ in points]
+        self.values = [v for _, v in points]
+        ratios = [v1 / v0 for v0, v1 in zip(self.values, self.values[1:])]
+        self.ratios = [r if sys.float_info.min <= r < math.inf else None for r in ratios]
+        self.rates = [(math.log(r) if r else math.log(v1) - math.log(v0)) / (t1 - t0)
+                      for r, (t0, v0), (t1, v1) in zip(self.ratios, points, points[1:])]
+
+    def sample(self, t):
+        times, values = self.times, self.values
+        if not times[0] <= t <= times[-1]:
+            raise DomainError(f"t = {t} outside the tabulated range [{times[0]}, {times[-1]}]")
+        i = bisect_left(times, t)
+        if times[i] == t:
+            return i, None, values[i]
+        i -= 1
+        w = (t - times[i]) / (times[i + 1] - times[i])
+        ratio = self.ratios[i]
+        if ratio is None:
+            return i, w, math.exp((1.0 - w) * math.log(values[i]) + w * math.log(values[i + 1]))
+        return i, w, values[i] * ratio ** w
+
+    def value(self, t):
+        return self.sample(t)[2]
+
+    def derivative(self, t, left=False):
+        i, w, v = self.sample(t)
+        if w is None and (left and i > 0 or i == len(self.rates)):
+            i -= 1
+        return v * self.rates[i]
+
+
+def outcome(call, *args):
+    """call(*args) as its float's hex, or the type and text of the DomainError it raises."""
+    try:
+        return call(*args).hex()
+    except DomainError as exc:
+        return DomainError, str(exc)
+
+
+def assert_lookups_match(income, oracle, ts):
+    """value and both derivatives at each t, each after a value call at t and on a fresh memo."""
+    for t in ts:
+        assert outcome(income.value, t) == outcome(oracle.value, t), t
+        for left in (False, True):
+            want = outcome(oracle.derivative, t, left)
+            assert outcome(income.derivative, t, left) == want, (t, left)
+            income.value(income.nodes[0])  # the memo now holds another t
+            assert outcome(income.derivative, t, left) == want, (t, left)
+
+
+@st.composite
+def wide_tables(draw):
+    """Tables whose neighbouring values may differ by a factor that is not a normal float."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    times = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from(
+        [5e-324, 1e-310, 1e-200, 1e200, 1.7e308])), min_size=n, max_size=n))
+    return tuple(zip(sorted(times), values))
+
+
+def near(t):
+    return (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))
+
+
+class TestSegmentTable:
+    """TabulatedIncome's segment table gives ScanLookup's bits and errors."""
+
+    @given(wide_tables(), st.lists(st.floats(0.0, 1.0), max_size=20))
+    @settings(max_examples=50)
+    def test_random_times(self, points, fractions):
+        lo, hi = points[0][0], points[-1][0]
+        ts = [min(lo + f * (hi - lo), hi) for f in fractions]
+        assert_lookups_match(TabulatedIncome(points), ScanLookup(points), ts)
+
+    @given(wide_tables())
+    @settings(max_examples=50)
+    def test_nodes_from_either_side_and_the_ends(self, points):
+        ts = [x for t, _ in points for x in near(t)]
+        assert_lookups_match(TabulatedIncome(points), ScanLookup(points), ts)
+
+    @pytest.mark.parametrize("v0,v1", [(1.0, 5e-324), (1.0, 1e-310), (1e-200, 1e200),
+                                       (1e200, 1e-200), (1e-160, 1e160)])
+    def test_segments_whose_ratio_is_not_normal(self, v0, v1):
+        # v0 to v1 and back: each ratio is subnormal, zero or inf.
+        points = ((0.0, v0), (2.0, v1), (5.0, v0))
+        income = TabulatedIncome(points)
+        assert [entry[4] for entry in income._segments[1:3]] == [None, None]
+        ts = [k / 8.0 for k in range(41)] + [x for t, _ in points for x in near(t)]
+        assert_lookups_match(income, ScanLookup(points), ts)
+
+    def test_out_of_range_nan_and_inf(self):
+        points = ((-1.0, 2.0), (0.5, 3.0), (4.0, 1.0))
+        ts = [-math.inf, -1e308, -1.5, 4.5, 1e308, math.inf, math.nan,
+              math.nextafter(-1.0, -math.inf), math.nextafter(4.0, math.inf)]
+        income, oracle = TabulatedIncome(points), ScanLookup(points)
+        for t in ts:
+            assert outcome(oracle.value, t)[0] is DomainError
+        assert_lookups_match(income, oracle, ts)
+
+    @given(wide_tables(), st.lists(st.floats(0.0, 1.0), max_size=10))
+    @settings(max_examples=50)
+    def test_after_a_pickle_round_trip(self, points, fractions):
+        income = TabulatedIncome(points)
+        income.value(points[-1][0])
+        copy = pickle.loads(pickle.dumps(income))
+        assert copy == income
+        lo, hi = points[0][0], points[-1][0]
+        ts = [min(lo + f * (hi - lo), hi) for f in fractions] + [t for t, _ in points]
+        assert_lookups_match(copy, ScanLookup(points), ts + [hi + 1.0, math.nan])
+
+
+def per_row_deviation(B, B_ref, S, S_ref):
+    """The row loop max_relative_deviation replaced, kept as its oracle."""
+    worst = 0.0
+    for B_num, B_exact, S_num, S_exact in zip(B, B_ref, S, S_ref):
+        worst = max(worst, abs(B_num - B_exact) / B_exact, abs(S_num - S_exact) / S_exact)
+    return worst
+
+
+class TestMaxRelativeDeviation:
+    @given(st.integers(0, 40).flatmap(lambda n: st.lists(
+        st.tuples(*[st.floats(1e-300, 1e300)] * 4), min_size=n, max_size=n)))
+    @settings(max_examples=50)
+    def test_equals_the_row_loop(self, rows):
+        B, B_ref, S, S_ref = (list(col) for col in zip(*rows)) if rows else ([],) * 4
+        times = [float(k) for k in range(len(rows))]
+        got = dynamics.max_relative_deviation(times, B, B_ref, S, S_ref)
+        assert got.hex() == per_row_deviation(B, B_ref, S, S_ref).hex()
+
+    def test_no_rows(self):
+        assert dynamics.max_relative_deviation((), (), (), (), ()) == 0.0
+
+    @pytest.mark.parametrize("at_B,at_S,message", [
+        (3, None, "B underflows to 0 at t = 0.75"),
+        (None, 1, "B_star underflows to 0 at t = 0.25"),
+        (2, 1, "B_star underflows to 0 at t = 0.25"),
+        (2, 2, "B underflows to 0 at t = 0.5"),
+    ])
+    def test_zero_reference_names_its_column_and_first_time(self, at_B, at_S, message):
+        times = [0.25 * k for k in range(6)]
+        B, S = [1.0] * 6, [2.0] * 6
+        B_ref, S_ref = [1.0] * 6, [2.0] * 6
+        for ref, at in ((B_ref, at_B), (S_ref, at_S)):
+            if at is not None:
+                ref[at:] = [0.0] * (6 - at)
+        with pytest.raises(ZeroDivisionError) as exc_info:
+            dynamics.max_relative_deviation(times, B, B_ref, S, S_ref)
+        assert str(exc_info.value) == message + ": no relative deviation from it"
+
+    def test_cross_validate_refuses_an_underflowed_closed_form(self):
+        # B's exponent is 0.5 * 0.02 - 0.3 * 4 = -1.19: from t = 626.17 the closed form of
+        # B is 0.0 while RK4's B stays subnormal.
+        params = ScenarioParams(a=0.5, a_star=1.0, b=0.3, b_star=0.05, lam=0.02, n=4.0,
+                                B0=1.0, B0_star=1.0, p0=1.0)
+        with pytest.raises(ZeroDivisionError, match=r"^B underflows to 0 at t = 626\.17: "):
+            cross_validate(params, 700.0)
 
 
 class TestCrossValidate:
