@@ -24,17 +24,18 @@ from .regime import checked_epsilon, classify, coefficient_labels
 from .scenario import PARAM_KEYS, SWEEPABLE, load_scenario, parse_sweep, scenario_text, with_param
 
 
-def _tolerance(args: argparse.Namespace, scenario) -> float:
-    """--tolerance when given, else the scenario's numerics.epsilon."""
+def _params_and_tolerance(args: argparse.Namespace) -> tuple[ScenarioParams, float]:
+    """classify's and sweep's inputs: the parameters through the closed-form gate, checked
+    first, then --tolerance when given, else the scenario's numerics.epsilon."""
+    scenario = load_scenario(args.scenario)
+    params = scenario.closed_form_params()
     if args.tolerance is None:
-        return scenario.numerics.epsilon
-    return checked_epsilon(args.tolerance, "--tolerance")
+        return params, scenario.numerics.epsilon
+    return params, checked_epsilon(args.tolerance, "--tolerance")
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    epsilon = _tolerance(args, scenario)
-    params = scenario.params
+    params, epsilon = _params_and_tolerance(args)
     report = classify(params, epsilon=epsilon)
     if report.interval_j is None:
         interval = "none"
@@ -66,15 +67,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    params = scenario.params
+    # closed and both read the closed forms, whose gate refuses a non-exponential income.
+    params = scenario.params if args.mode == "ode" else scenario.closed_form_params()
     t_end = args.t_end
     if t_end < params.t0:
         raise DomainError(f"--t-end must be >= t0 = {params.t0}, got {t_end}")
     step = scenario.numerics.step
     p, q = scenario.income_pair()
-    if args.mode != "ode":
-        # Refuses a non-exponential income before any work.
-        closed_params = scenario.closed_form_params()
     # One grid per run: closed builds it, ode and both take the integrator's.
     if args.mode == "closed":
         times = time_grid(params.t0, t_end, step)
@@ -84,7 +83,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.mode == "ode":
         columns = [times, tr.B, tr.B_star, tr.p, tr.q]
     else:
-        B, S = closed_form_columns(closed_params, times)
+        B, S = closed_form_columns(params, times)
         if args.mode == "closed":
             columns = [times, B, S, *zip(*(incomes(p, q, t) for t in times))]
         else:
@@ -101,14 +100,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    epsilon = _tolerance(args, scenario)
+    params, epsilon = _params_and_tolerance(args)
     spec = parse_sweep(args.vary)
     rows = ["value,exponent_g,exponent_g_star,f_value,band,behavior_g,behavior_g_star,growth_case"]
     skipped = []
     # One pass on floats; SWEEPABLE is coefficient_labels' and sign_quadratic's argument order.
     # A row: with_param's check, the labels and exponents, then f. _value_ is an enum's .value.
-    coefficients = [getattr(scenario.params, PARAM_KEYS[key]) for key in SWEEPABLE]
+    coefficients = [getattr(params, PARAM_KEYS[key]) for key in SWEEPABLE]
     at, field = SWEEPABLE.index(spec.name), PARAM_KEYS[spec.name]
     bound = ScenarioParams._bounds[field]
     row = "%.12g,%.12g,%.12g,%.12g,%s,%s,%s,%s"

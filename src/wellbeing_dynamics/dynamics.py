@@ -221,8 +221,8 @@ def integrate(
         tol: per-step relative error target for "rkf45", > 0.
 
     Raises:
-        DomainError: invalid arguments, or income models that cannot be
-            evaluated on the window (e.g. tabulated range too short).
+        DomainError: invalid arguments, or a window [t0, t_end] outside a
+            tabulated income's range, refused before any income call.
         IntegrationError: a non-positive or overflowing income sample
             mid-run, a state that leaves the positive finite range, or
             step underflow in adaptive mode; carries the last good state.
@@ -232,6 +232,10 @@ def integrate(
     t_end = checked(t_end, "t_end")
     if t_end < params.t0:
         raise DomainError(f"t_end must be >= t0 = {params.t0}, got {t_end!r}")
+    for lo, hi in ((m.nodes[0], m.nodes[-1]) for m in (p, q) if isinstance(m, TabulatedIncome)):
+        if params.t0 < lo or t_end > hi:
+            raise DomainError(f"window [{params.t0}, {t_end}] leaves the tabulated range "
+                              f"[{lo}, {hi}]")
 
     a, b = params.a, params.b
     a_s, b_s = params.a_star, params.b_star

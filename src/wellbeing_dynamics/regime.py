@@ -189,12 +189,8 @@ def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Regime
     g_rate, f_value, _, n_hat = ratio_terms(*coefficients)
     interval_j = (boundary_g_star, boundary_g) if case is GrowthCase.HIGH else None
 
-    if math.isclose(params.n, n_hat, rel_tol=epsilon):
-        dominance = Dominance.EQUAL
-    elif params.n < n_hat:
-        dominance = Dominance.G
-    else:
-        dominance = Dominance.G_STAR
+    dominance = (Dominance.EQUAL if math.isclose(params.n, n_hat, rel_tol=epsilon)
+                 else Dominance.G if params.n < n_hat else Dominance.G_STAR)
 
     crossover_time = None
     if params.B0 != params.B0_star and g_rate != 0.0:

@@ -1,8 +1,9 @@
 """Scenario and sweep file handling for the command-line tools.
 
-Scenario files are JSON objects with the ten parameter keys, an
-optional income_model override, and an optional numerics block. The
-schema is strict: unknown or repeated keys anywhere are rejected with a
+Scenario files are JSON objects with the ten parameter keys, an optional
+income_model block, and an optional numerics block. A file is one economy:
+lambda is its only exponential rate, read through Scenario.closed_form_params.
+The schema is strict: unknown or repeated keys anywhere are rejected with a
 diagnostic naming the key, so a typo or a second value never passes silently.
 """
 
@@ -24,7 +25,7 @@ PARAM_KEYS = {
 
 _TOP_LEVEL_KEYS = set(PARAM_KEYS) | {"income_model", "numerics"}
 _INCOME_KEYS = {
-    "exponential": {"type", "rate"},
+    "exponential": {"type"},
     "linear": {"type", "slope"},
     "tabulated": {"type", "points"},
 }
@@ -56,21 +57,25 @@ class Scenario(Record):
     numerics: NumericsOptions
 
     def income_pair(self) -> tuple[IncomeModel, IncomeModel]:
-        """Build the (p, q) pair with q = n * p pointwise."""
-        return self.income, self.income.scaled(self.params.n)
+        """The (p, q) pair with q = n * p pointwise. Scaling p past the float range
+        raises a DomainError that names n."""
+        try:
+            return self.income, self.income.scaled(self.params.n)
+        except DomainError as exc:
+            raise DomainError(f"q = n * p with n = {self.params.n:.12g} leaves the float range: "
+                              f"{exc}") from None
 
     def closed_form_params(self) -> ScenarioParams:
-        """Parameters with lam set to the exponential income's rate.
+        """The parameters, through the one gate to the closed forms and the regimes.
 
         Raises:
-            DomainError: when the income path is not exponential, so no
-                closed form applies, or its rate is not positive.
+            DomainError: the income path is linear or tabulated, so no
+                closed form applies; the message names the type.
         """
         if not isinstance(self.income, ExponentialIncome):
-            raise DomainError("closed-form evaluation requires an exponential income path")
-        if self.income.rate == self.params.lam:
-            return self.params
-        return with_param(self.params, "lambda", self.income.rate)
+            kind = "linear" if isinstance(self.income, LinearIncome) else "tabulated"
+            raise DomainError(f"closed-form evaluation requires an exponential income, not {kind}")
+        return self.params
 
 
 def _require_number(value, key: str, origin: str) -> float:
@@ -117,10 +122,7 @@ def _parse_income(block, params: ScenarioParams, origin: str) -> IncomeModel:
         )
     _check_keys(block, _INCOME_KEYS[kind], origin, "income_model")
     if kind == "exponential":
-        rate = params.lam
-        if "rate" in block:
-            rate = _require_number(block["rate"], "rate", origin)
-        return ExponentialIncome(params.p0, rate, params.t0)
+        return ExponentialIncome(params.p0, params.lam, params.t0)
     if kind == "linear":
         if "slope" not in block:
             raise DomainError(f"{origin}: linear income_model requires key 'slope'")

@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from wellbeing_dynamics import ScenarioParams, calibration, cli, core, regime
@@ -223,16 +223,18 @@ class TestSimulate:
         assert r.returncode == 2
         assert "exponential" in r.stderr
 
-    def test_closed_mode_uses_rate_override(self, tmp_path):
-        sc = write_scenario(tmp_path / "ov.json",
-                            income_model={"type": "exponential", "rate": 0.2})
+    @pytest.mark.parametrize("income_model", [None, {"type": "exponential"}])
+    def test_closed_mode_reads_lambda(self, tmp_path, income_model):
+        block = {} if income_model is None else {"income_model": income_model}
+        sc = write_scenario(tmp_path / "l.json", **{"lambda": 0.2}, **block)
         out = tmp_path / "traj.csv"
         r = run_cli("simulate", "--scenario", sc, "--t-end", "10",
                     "--out", str(out))
         assert r.returncode == 0
         last = out.read_text().splitlines()[-1].split(",")
-        # rate 0.2: exponent a*rate - b*n = 0.125 over 10 years.
+        # lambda 0.2: exponent a*lambda - b*n = 0.125 over 10 years, and p = 2 * exp(2).
         assert float(last[1]) == pytest.approx(math.exp(1.25), rel=1e-10)
+        assert float(last[3]) == pytest.approx(2.0 * math.exp(2.0), rel=1e-10)
 
     def test_income_collapse_fails_with_exit_1(self, tmp_path):
         # A falling linear income crosses zero inside the window: the
@@ -244,14 +246,21 @@ class TestSimulate:
         assert r.returncode == 1
         assert "last good t" in r.stderr
 
-    def test_tabulated_window_too_short_exits_2(self, tmp_path):
-        sc = write_scenario(
-            tmp_path / "short.json",
-            income_model={"type": "tabulated", "points": [[0, 2.0], [5, 3.0]]})
-        r = run_cli("simulate", "--scenario", sc, "--t-end", "10",
-                    "--mode", "ode", "--out", str(tmp_path / "x.csv"))
-        assert r.returncode in (1, 2)
-        assert r.stderr.startswith("error:")
+    @pytest.mark.parametrize("t0,points,t_end,window", [
+        (0.0, [[0, 2.0], [5, 3.0]], "10", "[0.0, 10.0] leaves the tabulated range [0.0, 5.0]"),
+        # Integrating up to the last node would have succeeded: the window is refused first.
+        (5.0, [[0, 2.0], [5, 3.0], [10, 5.0]], "12",
+         "[5.0, 12.0] leaves the tabulated range [0.0, 10.0]"),
+        (-1.0, [[0, 2.0], [5, 3.0]], "4", "[-1.0, 4.0] leaves the tabulated range [0.0, 5.0]"),
+    ], ids=["past the last node", "from inside past the last node", "before the first node"])
+    def test_tabulated_window_too_short_exits_2(self, tmp_path, t0, points, t_end, window):
+        sc = write_scenario(tmp_path / "short.json", t0=t0,
+                            income_model={"type": "tabulated", "points": points})
+        out = tmp_path / "x.csv"
+        r = run_cli("simulate", "--scenario", sc, "--t-end", t_end, "--mode", "ode",
+                    "--out", str(out))
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: window {window}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["ode", "both"])
     def test_income_overflow_mid_run_exits_1(self, tmp_path, mode):
@@ -446,6 +455,96 @@ class TestSweep:
                          "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()[1:]) == 100
         assert calls == []
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+class TestOneEconomyPerFile:
+    """A scenario file describes one exponential-income economy for classify, sweep and the
+    closed forms of simulate: lambda is its one rate, and a linear or tabulated income is
+    refused there through Scenario.closed_form_params; simulate --mode ode takes all three."""
+
+    @pytest.mark.parametrize("kind", ["linear", "tabulated"])
+    @pytest.mark.parametrize("argv", [
+        ["classify"],
+        ["classify", "--tolerance", "2.0"],  # the gate comes before the tolerance is read
+        ["sweep", "--vary", "n=1:2:0.5"],
+        ["sweep", "--vary", "B0=1:2"],  # and before the grid is parsed
+        ["simulate", "--t-end", "3"],
+        ["simulate", "--t-end", "3", "--mode", "both"],
+    ], ids=["classify", "classify, bad tolerance", "sweep", "sweep, bad grid", "closed", "both"])
+    def test_non_exponential_income_refused(self, tmp_path, kind, argv):
+        out = tmp_path / "out.csv"
+        tail = [] if argv[0] == "classify" else ["--out", str(out)]
+        r = run_cli(argv[0], "--scenario", str(GOLDEN_INPUTS / f"{kind}.json"), *argv[1:], *tail)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == ("error: closed-form evaluation requires an exponential income, "
+                            f"not {kind}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["linear", "tabulated"])
+    def test_ode_mode_takes_every_income(self, tmp_path, kind):
+        out = tmp_path / "out.csv"
+        r = run_cli("simulate", "--scenario", str(GOLDEN_INPUTS / f"{kind}.json"), "--t-end", "3",
+                    "--mode", "ode", "--out", str(out))
+        assert r.returncode == 0 and out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"],
+        ["sweep", "--vary", "lambda=0.01:0.02:0.01"],
+        ["simulate", "--t-end", "3", "--mode", "ode"],
+    ], ids=["classify", "sweep", "simulate"])
+    def test_rate_key_refused(self, tmp_path, argv):
+        sc = write_scenario(tmp_path / "rate.json", income_model={"type": "exponential",
+                                                                  "rate": 0.03})
+        out = tmp_path / "out.csv"
+        tail = [] if argv[0] == "classify" else ["--out", str(out)]
+        r = run_cli(argv[0], "--scenario", sc, *argv[1:], *tail)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == f"error: {sc}: unknown key 'rate' in income_model\n"
+        assert not out.exists()
+
+    @given(fields=st.fixed_dictionaries({
+               "a": st.floats(0.1, 3.0), "a_star": st.floats(0.1, 3.0),
+               "b": st.floats(0.01, 0.5), "b_star": st.floats(0.01, 0.5),
+               "lambda": st.floats(0.005, 0.3), "n": st.floats(0.1, 10.0),
+               "B0": st.floats(0.1, 10.0), "B0_star": st.floats(0.1, 10.0),
+               "p0": st.floats(0.5, 1e4), "t0": st.floats(-100.0, 2100.0)}),
+           pin=st.sampled_from([None, "g", "g_star"]), horizon=st.floats(10.0, 40.0))
+    # No explain phase: on a failing example it ran for minutes, where generating and
+    # shrinking take seconds.
+    @settings(max_examples=80, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+    def test_exponent_signs_match_the_simulated_trend(self, fields, pin, horizon):
+        # pin sets one group's b or b_star so that its exponent vanishes: a Constant behaviour.
+        # Every |exponent| stays below 5, so the RK4 steps of 0.25 stay stable.
+        if pin == "g":
+            fields["b"] = fields["a"] * fields["lambda"] / fields["n"]
+        elif pin == "g_star":
+            fields["b_star"] = fields["a_star"] * fields["lambda"] * fields["n"]
+        a, a_s, b, b_s, lam, n = (fields[k] for k in ("a", "a_star", "b", "b_star", "lambda", "n"))
+        epsilon = 1e-6
+        with tempfile.TemporaryDirectory() as work:
+            sc = write_scenario(Path(work) / "s.json", **fields,
+                                numerics={"epsilon": epsilon, "step": 0.25})
+            report = parse_report(run_cli("classify", "--scenario", sc).stdout)
+            out = Path(work) / "out.csv"
+            r = run_cli("simulate", "--scenario", sc, "--t-end", repr(fields["t0"] + horizon),
+                        "--mode", "both", "--out", str(out))
+            assert r.returncode == 0
+            rows = [[float(x) for x in line.split(",")]
+                    for line in out.read_text().splitlines()[1:]]
+        for group, scale, columns in (("g", max(a * lam, b * n), (1, 5)),
+                                      ("g_star", max(a_s * lam, b_s / n), (2, 6))):
+            behavior, exponent = report[f"behavior_{group}"], float(report[f"exponent_{group}"])
+            for column in columns:  # the closed form, then the integrator
+                first, last = rows[0][column], rows[-1][column]
+                if behavior == "ConstantPositive":  # flat within the tolerance
+                    assert math.isclose(last, first, rel_tol=2.0 * epsilon * scale * horizon)
+                else:
+                    assert (exponent > 0.0) == (last > first) == (behavior == "DivergesToInfinity")
+                    assert (exponent < 0.0) == (last < first)
 
 
 def _oracle_labels(p, eps):

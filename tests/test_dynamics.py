@@ -397,10 +397,28 @@ class TestIntegrate:
         assert err.last_state is not None
         assert all(v > 0 for v in err.last_state)
 
-    def test_tabulated_window_too_short_rejected(self):
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("t0,t_end,window", [
+        (0.0, 5.0, "[0.0, 5.0] leaves the tabulated range [0.0, 1.0]"),
+        (-0.5, 1.0, "[-0.5, 1.0] leaves the tabulated range [0.0, 1.0]"),
+        # An ulp past the last node: the last step used to reach the node and then fail there.
+        (0.0, math.nextafter(1.0, math.inf),
+         "[0.0, 1.0000000000000002] leaves the tabulated range [0.0, 1.0]"),
+    ], ids=["past the last node", "before the first node", "an ulp past the last node"])
+    def test_tabulated_window_too_short_rejected(self, method, t0, t_end, window):
+        # Refused before any income call, whichever side holds the table.
         m = TabulatedIncome(((0.0, 1.0), (1.0, 2.0)))
-        with pytest.raises((DomainError, IntegrationError)):
-            integrate(m, m, HIGH._replace(p0=1.0), 5.0, step=0.1)
+        for p, q in ((m, m.scaled(2.0)), (CountingIncome(ExponentialIncome(1.0, 0.1, t0)), m)):
+            with pytest.raises(DomainError) as exc_info:
+                integrate(p, q, HIGH._replace(p0=1.0, t0=t0), t_end, method=method, step=0.1)
+            assert str(exc_info.value) == f"window {window}"
+            assert getattr(p, "calls", 0) == 0
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_tabulated_window_may_span_the_whole_range(self, method):
+        m = TabulatedIncome(((0.0, 1.0), (1.0, 2.0)))
+        tr = integrate(m, m.scaled(2.0), HIGH._replace(p0=1.0), 1.0, method=method, step=0.1)
+        assert (tr.times[0], tr.times[-1]) == (0.0, 1.0)
 
     def test_invalid_method_and_times(self):
         p, q = self.exponential_pair(HIGH)
@@ -1212,6 +1230,21 @@ class ScanLookup:
         if w is None and (left and i > 0 or i == len(self.rates)):
             i -= 1
         return v * self.rates[i]
+
+
+class CountingIncome:
+    """An income model that counts its value and derivative calls."""
+
+    def __init__(self, model):
+        self.model, self.nodes, self.calls = model, model.nodes, 0
+
+    def value(self, t):
+        self.calls += 1
+        return self.model.value(t)
+
+    def derivative(self, t, left=False):
+        self.calls += 1
+        return self.model.derivative(t, left)
 
 
 def outcome(call, *args):

@@ -82,11 +82,13 @@ class TestIncomeOverrides:
         assert sc == parse_scenario(doc(), "test")
         assert sc.closed_form_params() is sc.params
 
-    def test_exponential_rate_override(self):
-        sc = parse_scenario(
-            doc(income_model={"type": "exponential", "rate": 0.03}), "test")
-        assert sc.income.rate == 0.03
-        assert sc.closed_form_params().lam == 0.03
+    @pytest.mark.parametrize("rate", [0.03, 0.1])
+    def test_exponential_rate_key_refused(self, rate):
+        # lambda is the file's one exponential rate: a second one is an unknown key, even
+        # when it equals lambda.
+        with pytest.raises(DomainError) as exc_info:
+            parse_scenario(doc(income_model={"type": "exponential", "rate": rate}), "test")
+        assert str(exc_info.value) == "test: unknown key 'rate' in income_model"
 
     def test_linear_income(self):
         sc = parse_scenario(
@@ -95,7 +97,8 @@ class TestIncomeOverrides:
         assert sc.income.slope == 0.2
         with pytest.raises(DomainError) as exc_info:
             sc.closed_form_params()
-        assert str(exc_info.value) == "closed-form evaluation requires an exponential income path"
+        assert str(exc_info.value) == (
+            "closed-form evaluation requires an exponential income, not linear")
 
     def test_linear_requires_slope(self):
         with pytest.raises(DomainError, match="slope"):
@@ -148,6 +151,24 @@ class TestIncomeOverrides:
                               "points": [[0, 2.0], [10, 4.0]]}), "test")
         p2, q2 = sc2.income_pair()
         assert q2.value(10.0) == pytest.approx(1.5 * 4.0, rel=1e-15)
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"n": 10.0, "p0": 1e308}, "q = n * p with n = 10 leaves the float range: "
+         "p0 must be finite, got inf"),
+        ({"n": 10.0, "income_model": {"type": "linear", "slope": 1e308}},
+         "q = n * p with n = 10 leaves the float range: slope must be finite, got inf"),
+        ({"n": 2.0, "income_model": {"type": "tabulated", "points": [[0, 1e308], [1, 2.0]]}},
+         "q = n * p with n = 2 leaves the float range: "
+         "tabulated income value at t = 0.0 must be finite, got inf"),
+        ({"n": 1e-10, "p0": 1e-320}, "q = n * p with n = 1e-10 leaves the float range: "
+         "p0 must be > 0, got 0.0"),
+    ], ids=["exponential", "linear", "tabulated", "exponential underflow"])
+    def test_income_pair_names_n_when_q_leaves_the_float_range(self, overrides, message):
+        # Every input is finite: the error blames the product q = n * p, not p.
+        sc = parse_scenario(doc(**overrides), "test")
+        with pytest.raises(DomainError) as exc_info:
+            sc.income_pair()
+        assert str(exc_info.value) == message
 
     def test_default_income_pair_is_exponential(self):
         sc = parse_scenario(doc(), "test")
@@ -291,14 +312,12 @@ class TestWithParam:
             with pytest.raises(DomainError, match="unknown parameter name"):
                 with_param(params, name, 1.0)
 
-    def test_closed_form_params_checks_the_rate(self):
-        scenario = parse_scenario(doc(income_model={"type": "exponential", "rate": -0.1}))
-        with pytest.raises(DomainError, match="lam must be > 0, got -0.1"):
-            scenario.closed_form_params()
-        scenario = parse_scenario(doc(income_model={"type": "exponential", "rate": 0.03}))
-        assert scenario.closed_form_params() == ScenarioParams(
-            **{**vars(scenario.params), "lam": 0.03}
-        )
+    @pytest.mark.parametrize("block", [None, {"type": "exponential"}])
+    def test_closed_form_params_are_the_params(self, block):
+        # The gate copies nothing: an exponential income's rate is lambda itself.
+        scenario = parse_scenario(doc() if block is None else doc(income_model=block))
+        assert scenario.closed_form_params() is scenario.params
+        assert scenario.income.rate == scenario.params.lam
 
 
 # Every valid parameter set: any positive finite float, any finite t0.
