@@ -15,7 +15,7 @@ the coefficients, which RK4 evaluates once per distinct stage time.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from operator import sub, truediv
 
 from .core import _NORMAL, INCOME_OVERFLOW, ScenarioParams, closed_form_columns
@@ -23,6 +23,8 @@ from .errors import DomainError, IntegrationError, Record, checked, checked_poin
 
 DEFAULT_STEP = 0.01
 DEFAULT_ADAPTIVE_TOL = 1e-8
+#: Left end of RK4's real stability interval, where 1 + z + z²/2 + z³/6 + z⁴/24 = 1.
+RK4_STABLE = -2.785293563405282
 
 #: Most steps a uniform grid (simulate's time grid, a sweep) may span.
 #: Larger requests raise DomainError before anything is allocated.
@@ -224,15 +226,15 @@ def integrate(
         DomainError: invalid arguments, or a window [t0, t_end] outside a
             tabulated income's range, refused before any income call.
         IntegrationError: a non-positive or overflowing income sample
-            mid-run, a state that leaves the positive finite range, or
-            step underflow in adaptive mode; carries the last good state.
+            mid-run, a state that leaves the positive finite range, an
+            unstable RK4 step or adaptive step underflow; carries the last good state.
     """
     if method not in ("rk4", "rkf45"):
         raise DomainError(f"method must be 'rk4' or 'rkf45', got {method!r}")
     t_end = checked(t_end, "t_end")
     if t_end < params.t0:
         raise DomainError(f"t_end must be >= t0 = {params.t0}, got {t_end!r}")
-    for lo, hi in ((m.nodes[0], m.nodes[-1]) for m in (p, q) if isinstance(m, TabulatedIncome)):
+    for lo, hi in ((m.nodes[0], m.nodes[-1]) for m in (p, q) if m.nodes):
         if params.t0 < lo or t_end > hi:
             raise DomainError(f"window [{params.t0}, {t_end}] leaves the tabulated range "
                               f"[{lo}, {hi}]")
@@ -269,7 +271,7 @@ def integrate(
 
     start = coefficients(params.t0)
     record(params.t0, params.B0, params.B0_star, start)
-    nodes = sorted({s for s in (*p.nodes, *q.nodes) if params.t0 < s <= t_end})
+    nodes = {s for s in (*p.nodes, *q.nodes) if params.t0 < s <= t_end}
     if method == "rk4":
         _run_rk4(coefficients, start, params, t_end, step, record, nodes)
     else:
@@ -283,27 +285,30 @@ def integrate(
 
 def _run_rk4(coefficients, start, params: ScenarioParams, t_end, step, record, nodes=()) -> None:
     # start: the coefficients at t0. k2 and k3 share the midpoint ones; those at t + h serve
-    # k4, the record and the next k1 unless t + h != t_next. nodes: the incomes' node times
-    # in (t0, t_end], where steps end too, k4 from the left and the next k1 from the right;
-    # one off the grid adds no row.
+    # k4, the record and the next k1 unless t + h != t_next. Steps also end on the nodes (in
+    # (t0, t_end]): k4 takes the left rates, the next k1 the right ones; off the grid, no row.
     grid = time_grid(params.t0, t_end, step)
-    rows, nodes = (set(grid), frozenset(nodes)) if nodes else ((), ())
-    t = grid[0]
-    B, S = params.B0, params.B0_star
-    for t_next in sorted(rows | nodes)[1:] if nodes else grid[1:]:
-        h = t_next - t
+    off_grid = {s for s in nodes if grid[bisect_left(grid, s)] != s}
+    t, B, S = grid[0], params.B0, params.B0_star
+    for t_next in sorted((*grid, *off_grid))[1:]:
+        half = 0.5 * (h := t_next - t)
         c1B, c1S, _, _ = start
-        c2B, c2S, _, _ = coefficients(t + 0.5 * h)
-        end = coefficients(t_next, True) if t_next in nodes else coefficients(t + h)
+        if h * c1B < RK4_STABLE or h * c1S < RK4_STABLE:  # the step would amplify a decay
+            raise IntegrationError(f"RK4 step {h:.12g} is unstable at t = {t:.12g}: step * rate "
+                                   f"= {h * min(c1B, c1S):.12g} is below {RK4_STABLE:.12g}",
+                                   last_time=t, last_state=(B, S))
+        at_node = t_next in nodes
+        c2B, c2S, _, _ = coefficients(t + half)
+        end = coefficients(t_next, True) if at_node else coefficients(t + h)
         k1B, k1S = c1B * B, c1S * S
-        k2B, k2S = c2B * (B + 0.5 * h * k1B), c2S * (S + 0.5 * h * k1S)
-        k3B, k3S = c2B * (B + 0.5 * h * k2B), c2S * (S + 0.5 * h * k2S)
+        k2B, k2S = c2B * (B + half * k1B), c2S * (S + half * k1S)
+        k3B, k3S = c2B * (B + half * k2B), c2S * (S + half * k2S)
         k4B, k4S = end[0] * (B + h * k3B), end[1] * (S + h * k3S)
         B += h / 6.0 * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
         S += h / 6.0 * (k1S + 2.0 * k2S + 2.0 * k3S + k4S)
-        start = end if t + h == t_next and t_next not in nodes else coefficients(t_next)
+        start = end if t + h == t_next and not at_node else coefficients(t_next)
         t = t_next
-        if not rows or t in rows:
+        if not at_node or t not in off_grid:
             record(t, B, S, start)
 
 
@@ -337,7 +342,7 @@ def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record, n
     t, h = params.t0, step
     B, S = params.B0, params.B0_star
     h_min = 1e-14 * max(1.0, abs(params.t0), abs(t_end))
-    nodes = iter((*nodes, t_end))
+    nodes = iter((*sorted(nodes), t_end))
     node = next(nodes)
     while t < t_end:
         end = t + h

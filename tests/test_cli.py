@@ -273,6 +273,20 @@ class TestSimulate:
         assert r.stderr == "error: income overflows at t = 0.005 (last good t = 0)\n"
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("mode", ["ode", "both"])
+    def test_unstable_rk4_step_exits_1(self, tmp_path, mode):
+        # c_S = a* * lambda - b* / n = -15.984375, so step 0.25 puts h * c_S past RK4's
+        # stability bound: B_star would go 1 -> 4.98 -> 7.6e27 where classify says it decays.
+        sc = write_scenario(tmp_path / "s.json", b=0.5, b_star=0.5, n=0.03125, p0=1.0,
+                            numerics={"step": 0.25}, **{"lambda": 0.015625})
+        out = tmp_path / "x.csv"
+        r = run_cli("simulate", "--scenario", sc, "--t-end", "10", "--mode", mode,
+                    "--out", str(out))
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == ("error: RK4 step 0.25 is unstable at t = 0: step * rate = "
+                            "-3.99609375 is below -2.78529356341 (last good t = 0)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("p0,t", [
         (2.0, "0.71"),   # exp(1000 * t) itself overflows
         (1e10, "0.69"),  # exp(690) is finite; its product with p0 and n is not

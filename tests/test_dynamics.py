@@ -342,13 +342,13 @@ class TestIntegrate:
         assert exc_info.value.last_state == (params.B0, params.B0_star)
 
     def test_state_overflow_raises_with_last_finite_state(self):
-        # b = 1e3 makes h * c_B = -15, outside RK4's stability region: each
-        # step multiplies B by about 1.6e3 until it overflows at t = 0.95.
-        params = HIGH._replace(b=1e3)
+        # a = 1e3 makes c_B = 99.925, a growth that RK4 steps stably at h * c_B = 1.0: B
+        # passes the float range at t = 7.07, while p and q stay below 2 * 1.5 * exp(0.71).
+        params = HIGH._replace(a=1e3)
         p, q = self.exponential_pair(params)
         with pytest.raises(IntegrationError,
-                           match=r"^state left the positive domain at t = 0\.95") as exc_info:
-            integrate(p, q, params, 5.0, step=0.01)
+                           match=r"^state left the positive domain at t = 7\.07") as exc_info:
+            integrate(p, q, params, 10.0, step=0.01)
         B, S = exc_info.value.last_state
         assert math.isfinite(B) and math.isfinite(S) and B > 0.0 and S > 0.0
 
@@ -649,6 +649,55 @@ class TestRK4StageSharing:
             assert rest == 0
             assert attempts >= samples - 1
             assert counts["value"] == counts["derivative"]
+
+
+class TestRK4Stability:
+    """RK4 multiplies a component with constant rate c by R(h * c) = 1 + z + z^2/2 + z^3/6 +
+    z^4/24 per step, and |R| > 1 below RK4_STABLE: there a decay would grow, so integrate
+    refuses a step whose h * c at its start lies below the bound."""
+
+    # c_S = a* * lambda - b* / n = -15.984375 while classify calls B* decaying.
+    PARAMS = ScenarioParams(a=1.0, a_star=1.0, b=0.5, b_star=0.5, lam=0.015625, n=0.03125,
+                            B0=1.0, B0_star=1.0, p0=1.0)
+
+    def test_bound_is_where_the_step_factor_is_one(self):
+        def factor(z):
+            return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        z = dynamics.RK4_STABLE
+        assert factor(mp.mpf(z)) == pytest.approx(1.0, abs=1e-15)
+        assert factor(z - 1e-9) > 1.0 > factor(z + 1e-9)
+
+    def test_unstable_first_step_is_refused_before_any_income_call(self, monkeypatch):
+        # Without the check, B* went 1 -> 4.98 -> 7.6e27 over the first steps.
+        p = ExponentialIncome(1.0, 0.015625)
+        counts = count_income_calls(monkeypatch)
+        with pytest.raises(IntegrationError, match=r"^RK4 step 0\.25 is unstable at t = 0: "
+                           r"step \* rate = -3\.99609375 is below -2\.78529356341$") as exc_info:
+            integrate(p, p.scaled(self.PARAMS.n), self.PARAMS, 10.0, step=0.25)
+        assert exc_info.value.last_time == 0.0
+        assert exc_info.value.last_state == (1.0, 1.0)
+        assert counts["value"] + counts["derivative"] == 4  # the sample at t0 only
+
+    def test_step_just_inside_the_bound_runs_and_decays(self):
+        step = 2.78 / 15.984375  # h * c_S = -2.78
+        p = ExponentialIncome(1.0, 0.015625)
+        tr = integrate(p, p.scaled(self.PARAMS.n), self.PARAMS, 10.0, step=step)
+        assert tr.times[-1] == 10.0
+        assert all(s1 < s0 for s0, s1 in zip(tr.B_star, tr.B_star[1:]))
+
+    def test_rate_that_steepens_past_the_bound_mid_run(self):
+        # p = 0.1 + t and b * n = 30, so c_B = 1 / (0.1 + t) - 30 is -27.5 at t = 0.3 and -28
+        # at t = 0.4: the step from 0.4 is the first refused, with the state there.
+        params = ScenarioParams(a=1.0, a_star=1.0, b=20.0, b_star=0.05, lam=0.1, n=1.5,
+                                B0=1.0, B0_star=1.0, p0=0.1)
+        p = LinearIncome(0.1, 1.0)
+        with pytest.raises(IntegrationError,
+                           match=r"^RK4 step 0\.1 is unstable at t = 0\.4: step \* rate = -2\.8 "
+                           ) as exc_info:
+            integrate(p, p.scaled(params.n), params, 1.0, step=0.1)
+        tr = integrate(p, p.scaled(params.n), params, 0.4, step=0.1)
+        assert exc_info.value.last_time == tr.times[-1] == 0.4
+        assert exc_info.value.last_state == (tr.B[-1], tr.B_star[-1])
 
 
 def income_pairs():
@@ -1128,6 +1177,38 @@ class TestStepsEndOnNodes:
         B_exact, S_exact = exact_wellbeing(self.PARAMS, p, 3.0)
         assert abs(tr.B[-1] - B_exact) < 1e-8 * B_exact
         assert abs(tr.B_star[-1] - S_exact) < 1e-8 * S_exact
+
+    def test_rk4_takes_the_ulp_steps_beside_grid_times(self, monkeypatch):
+        # One node an ulp after the grid time 0.5 and one an ulp before 1.25: each leaves an
+        # ulp-long step, which RK4 takes rather than merge the two stops, and adds no row.
+        after, before = math.nextafter(0.5, math.inf), math.nextafter(1.25, -math.inf)
+        p = TabulatedIncome(((0.0, 1.0), (after, 1.3), (before, 1.1), (2.0, 1.6)))
+        q = p.scaled(self.PARAMS.n)
+        grid = time_grid(0.0, 2.0, 0.25)
+        assert 0.5 in grid and 1.25 in grid
+        counts = count_income_calls(monkeypatch)
+        tr = integrate(p, q, self.PARAMS, 2.0, step=0.25)
+        at_nodes = counts[after], counts[before]
+        assert tr.times == tuple(grid)
+        assert (tr.times, tr.B, tr.B_star, tr.p, tr.q) == reference_rk4(p, q, self.PARAMS, grid)
+        # A step ends on each node (k4 from the left) and the next starts there (k1 from the
+        # right): two evaluations of four calls each.
+        assert min(at_nodes) >= 8
+
+    def test_rkf45_records_a_node_an_ulp_before_t_end(self):
+        # Nodes every 0.37 from t0 = -3.7, one of them at 4.4399999999999995: an ulp short of
+        # t_end = 4.44 and so closer to it than h_min. Both stops are taken and recorded.
+        points = list(scenario_incomes()[2].values[0].points)
+        node = math.nextafter(4.44, -math.inf)
+        assert node == 4.4399999999999995 and points[22][0] == 4.44
+        points[22] = (node, points[22][1])
+        p = TabulatedIncome(tuple(points))
+        params = TestExactForm.PARAMS._replace(t0=-3.7)
+        tr = integrate(p, p.scaled(params.n), params, 4.44, method="rkf45")
+        assert tr.times[-2:] == (node, 4.44)
+        B_exact, S_exact = exact_wellbeing(params, p, 4.44)
+        assert abs(tr.B[-1] - B_exact) < 1e-7 * B_exact
+        assert abs(tr.B_star[-1] - S_exact) < 1e-7 * S_exact
 
     def test_no_step_ends_within_the_floor_of_a_node(self):
         # A step from 0 would land on 0.37, an ulp short of the node 0.3700000000000001; it
