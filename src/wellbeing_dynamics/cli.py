@@ -4,7 +4,7 @@ All numeric output uses 12 significant digits with no locale influence,
 and nothing that varies between runs (timestamps, paths, ordering) is
 ever emitted, so identical inputs produce byte-identical outputs.
 
-Exit codes: 0 success, 1 runtime or numeric failure, 2 invalid input.
+Exit codes: 0 success, 2 invalid input (a DomainError), 1 any other WellbeingError.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .calibration import fit_growth_rate, read_income_series, scenario_from_data
 from .core import (ScenarioParams, closed_form_B, closed_form_B_star, closed_form_columns,
                    exponent_g, exponent_g_star, incomes, ratio_analysis, sign_quadratic)
 from .dynamics import integrate, max_relative_deviation, time_grid
-from .errors import DomainError, IntegrationError, QuadratureError, checked
-from .regime import checked_epsilon, classify, coefficient_labels
+from .errors import DomainError, WellbeingError, checked
+from .regime import checked_epsilon, classify, coefficient_labels, finite_exponents
 from .scenario import PARAM_KEYS, SWEEPABLE, load_scenario, parse_sweep, scenario_text, with_param
 
 
@@ -67,12 +67,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    # closed and both read the closed forms, whose gate refuses a non-exponential income.
-    params = scenario.params if args.mode == "ode" else scenario.closed_form_params()
-    t_end = args.t_end
+    params, t_end, step = scenario.params, args.t_end, scenario.numerics.step
+    if args.mode != "ode":  # the closed forms: their gate, then exponents that are floats
+        scenario.closed_form_params()
+        finite_exponents(exponent_g(params), exponent_g_star(params))
     if t_end < params.t0:
         raise DomainError(f"--t-end must be >= t0 = {params.t0}, got {t_end}")
-    step = scenario.numerics.step
     p, q = scenario.income_pair()
     # One grid per run: closed builds it, ode and both take the integrator's.
     if args.mode == "closed":
@@ -146,7 +146,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def _write_table(path: str, lines: list[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.writelines(("\n".join(lines), "\n"))  # no second copy for the last newline
     except OSError as exc:
         raise DomainError(f"cannot write output file {path}: {exc}") from None
 
@@ -197,20 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IntegrationError as exc:
-        detail = "" if exc.last_time is None else f" (last good t = {exc.last_time:.12g})"
+    except WellbeingError as exc:  # the class tree alone decides the exit code
+        last_time = getattr(exc, "last_time", None)
+        detail = "" if last_time is None else f" (last good t = {last_time:.12g})"
         print(f"error: {exc}{detail}", file=sys.stderr)
-        return 1
-    except (QuadratureError, OverflowError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DomainError) else 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DomainError, Record, checked, squared
+from .errors import DomainError, NumericError, Record, checked, squared
 from .numerics import adaptive_simpson
 
 
@@ -94,7 +94,7 @@ INCOME_OVERFLOW = "income overflows at t = %.12g"  # for any income past the flo
 def grown(level: float, log_growth: float, name: str, t, per: float = 1.0) -> float:
     """exp(log_growth) * level / per: that product when exp(log_growth) and it are normal
     floats, else exp(ln level - ln per + log_growth), 0.0 below the float range. Past it,
-    an OverflowError naming name, t and the log value."""
+    a NumericError naming name, t and the log value."""
     if log_growth < 709.78:  # exp stays below the largest float
         factor = math.exp(log_growth)
         value = factor * level / per
@@ -102,18 +102,18 @@ def grown(level: float, log_growth: float, name: str, t, per: float = 1.0) -> fl
             return value
     log_value = math.log(level) - math.log(per) + log_growth
     try:
-        return math.exp(log_value)
+        return math.exp(min(log_value, 1e308))  # exp(inf) is inf, without an OverflowError
     except OverflowError:
-        raise OverflowError(
+        raise NumericError(
             f"{name} overflows at t = {float(t):.12g}: ln {name} = {log_value:.12g}") from None
 
 
 def incomes(p: "IncomeModel", q: "IncomeModel", t: float) -> tuple[float, float]:
-    """(p(t), q(t)); an OverflowError with INCOME_OVERFLOW when either leaves the float range.
+    """(p(t), q(t)); a NumericError with INCOME_OVERFLOW when either leaves the float range.
     An exponential one raises it itself only when exp overflows; inf values raise it here."""
     pair = p.value(t), q.value(t)
     if math.inf in pair:
-        raise OverflowError(INCOME_OVERFLOW % t)
+        raise NumericError(INCOME_OVERFLOW % t)
     return pair
 
 
@@ -174,7 +174,7 @@ def general_wellbeing(
     Raises:
         DomainError: t < t0, negative sensitivities, non-positive B0, or
             a non-positive income wherever the integrand is evaluated.
-        OverflowError: "income overflows at t = ..." when p or q leaves
+        NumericError: "income overflows at t = ..." when p or q leaves
             the float range at an evaluated time, "income gap q/p
             overflows at t = ..." when their ratio does, or "B overflows
             at t = ...: ln B = ..." when the result itself does.
@@ -193,7 +193,7 @@ def general_wellbeing(
             raise DomainError(f"non-positive income at t = {s}")
         ratio = qs / ps
         if ratio == math.inf:
-            raise OverflowError(f"income gap q/p overflows at t = {s:.12g}")
+            raise NumericError(f"income gap q/p overflows at t = {s:.12g}")
         return ratio
 
     p_start, p_end = incomes(p, q, t0)[0], incomes(p, q, t)[0]

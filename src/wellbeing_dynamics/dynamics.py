@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from operator import sub, truediv
 
 from .core import _NORMAL, INCOME_OVERFLOW, ScenarioParams, closed_form_columns
-from .errors import DomainError, IntegrationError, Record, checked, checked_points
+from .errors import DomainError, IntegrationError, NumericError, Record, checked, checked_points
 
 DEFAULT_STEP = 0.01
 DEFAULT_ADAPTIVE_TOL = 1e-8
@@ -44,13 +44,13 @@ class ExponentialIncome(Record):
         try:
             return self.p0 * math.exp(self.rate * (t - self.t0))
         except OverflowError:
-            raise OverflowError(INCOME_OVERFLOW % t) from None
+            raise NumericError(INCOME_OVERFLOW % t) from None
 
     def derivative(self, t: float, left: bool = False) -> float:
         try:
             return self.rate * (self.p0 * math.exp(self.rate * (t - self.t0)))
         except OverflowError:
-            raise OverflowError(INCOME_OVERFLOW % t) from None
+            raise NumericError(INCOME_OVERFLOW % t) from None
 
     def scaled(self, n: float) -> ExponentialIncome:
         """The path n * p(t)."""
@@ -223,8 +223,8 @@ def integrate(
         tol: per-step relative error target for "rkf45", > 0.
 
     Raises:
-        DomainError: invalid arguments, or a window [t0, t_end] outside a
-            tabulated income's range, refused before any income call.
+        DomainError: invalid arguments; a window [t0, t_end] outside a tabulated income's
+            range, before any income call; c_B or c_S at t0 past the float range.
         IntegrationError: a non-positive or overflowing income sample
             mid-run, a state that leaves the positive finite range, an
             unstable RK4 step or adaptive step underflow; carries the last good state.
@@ -270,6 +270,8 @@ def integrate(
         samples.append((t, B, S, sample[2], sample[3]))
 
     start = coefficients(params.t0)
+    checked(start[0], f"c_B = a * p'/p - b * q/p at t = {params.t0:.12g}")
+    checked(start[1], f"c_S = a_star * q'/q - b_star * p/q at t = {params.t0:.12g}")
     record(params.t0, params.B0, params.B0_star, start)
     nodes = {s for s in (*p.nodes, *q.nodes) if params.t0 < s <= t_end}
     if method == "rk4":
@@ -416,12 +418,12 @@ def cross_validate(
 def max_relative_deviation(times, B, B_ref, S, S_ref) -> float:
     """Worst |x - ref| / ref over both well-being columns; 0 for no rows. The columns must be
     sequences, not iterators: each reference is read twice. A reference of 0.0 (an underflowed
-    closed form) raises ZeroDivisionError naming the column and the first such t, B first."""
+    closed form) raises NumericError naming the column and the first such t, B first."""
     try:
         return max(max(map(truediv, map(abs, map(sub, B, B_ref)), B_ref), default=0.0),
                    max(map(truediv, map(abs, map(sub, S, S_ref)), S_ref), default=0.0))
     except ZeroDivisionError:
         at, name = min((ref.index(0.0), name) for name, ref in (("B", B_ref), ("B_star", S_ref))
                        if 0.0 in ref)
-        raise ZeroDivisionError(f"{name} underflows to 0 at t = {times[at]:.12g}: "
-                                "no relative deviation from it") from None
+        raise NumericError(f"{name} underflows to 0 at t = {times[at]:.12g}: "
+                           "no relative deviation from it") from None

@@ -12,6 +12,11 @@ class DomainError(WellbeingError, ValueError):
     """Invalid input: violated precondition, bad parameter, malformed file."""
 
 
+class NumericError(WellbeingError, OverflowError):
+    """A value past the float range, or a deviation from a reference that underflowed to 0.
+    An OverflowError too, so that `except OverflowError` callers still catch it."""
+
+
 class IntegrationError(WellbeingError, RuntimeError):
     """ODE integration aborted before reaching the end time.
 

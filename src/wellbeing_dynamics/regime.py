@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from math import isclose
+from math import isclose, isfinite
 
 from .core import ScenarioParams, ratio_analysis, ratio_terms
 from .errors import DomainError, Record, checked, squared
@@ -115,7 +115,6 @@ def _underflow(label: str, x: float, y: float) -> DomainError:
 _CRITICAL, _LOW_GROWTH, _HIGH_GROWTH = GrowthCase.CRITICAL, GrowthCase.LOW, GrowthCase.HIGH
 _LOW, _MEDIUM, _HIGH, _BOUNDARY = Band.LOW, Band.MEDIUM, Band.HIGH, Band.BOUNDARY
 _DIVERGES, _CONSTANT, _DECAYS = Behavior.DIVERGES, Behavior.CONSTANT, Behavior.DECAYS
-_Labels = tuple[GrowthCase, float, float, Band, Behavior, Behavior]
 
 
 def _growth_case(a, a_star, b, b_star, lam, epsilon: float) -> GrowthCase:
@@ -135,17 +134,23 @@ def growth_case(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Gro
     return _growth_case(p.a, p.a_star, p.b, p.b_star, p.lam, checked_epsilon(epsilon))
 
 
+def finite_exponents(e_g: float, e_g_star: float) -> None:
+    """Raise checked's DomainError naming the first exponent that is inf or nan, if any."""
+    checked(e_g, "exponent_g = a * lam - b * n")
+    checked(e_g_star, "exponent_g_star = a_star * lam - b_star / n")
+
+
 def coefficient_labels(a: float, a_star: float, b: float, b_star: float, lam: float,
                        n: float, epsilon: float
                        ) -> tuple[GrowthCase, float, float, Band, Behavior, Behavior, float, float]:
     """Growth case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star
     and the exponents a*lam - b*n and a_star*lam - b_star/n (the floats of core's
     exponent_g and exponent_g_star) from the six coefficients, for an epsilon the
-    caller has checked. classify, regime_labels and sweep rows share it.
+    caller has checked. classify, its two checks below and sweep rows share it.
 
     Raises:
-        DomainError: a_star*lam underflows to 0, lam**2 overflows, or
-            a*a_star underflows to 0, checked in that order.
+        DomainError: a_star*lam underflows to 0, lam**2 overflows, a*a_star
+            underflows to 0, or an exponent is past the float range, checked in that order.
     """
     boundary_g = a * lam / b
     try:
@@ -164,14 +169,10 @@ def coefficient_labels(a: float, a_star: float, b: float, b_star: float, lam: fl
     band = (_BOUNDARY if behavior_g is _CONSTANT or behavior_g_star is _CONSTANT
             else _MEDIUM if behavior_g is behavior_g_star
             else _LOW if behavior_g is _DIVERGES else _HIGH)
-    return (case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star,
-            growth - loss, growth_star - loss_star)
-
-
-def regime_labels(params: ScenarioParams, epsilon: float) -> _Labels:
-    """The six labels of coefficient_labels of params, for an epsilon the caller has checked."""
-    p = params
-    return coefficient_labels(p.a, p.a_star, p.b, p.b_star, p.lam, p.n, epsilon)[:6]
+    e_g, e_g_star = growth - loss, growth_star - loss_star
+    if not (isfinite(e_g) and isfinite(e_g_star)):  # a sweep row pays no call unless one fails
+        finite_exponents(e_g, e_g_star)
+    return case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star, e_g, e_g_star
 
 
 def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> RegimeReport:
@@ -212,7 +213,9 @@ def low_band_feasibility(
     params: ScenarioParams, epsilon: float = DEFAULT_EPSILON
 ) -> FeasibilityRecord:
     """Report whether {n : 1 <= n < Low band's upper edge} is nonempty."""
-    case, boundary_g, boundary_g_star = regime_labels(params, checked_epsilon(epsilon))[:3]
+    case, boundary_g, boundary_g_star = coefficient_labels(
+        params.a, params.a_star, params.b, params.b_star, params.lam, params.n,
+        checked_epsilon(epsilon))[:3]
     low_band_upper = min(boundary_g, boundary_g_star)
     return FeasibilityRecord(growth_case=case, low_band_upper=low_band_upper,
                              feasible=low_band_upper > 1.0, own_margin=boundary_g,
@@ -233,7 +236,8 @@ def verify_nhat_bracketing(
             collapses and the check does not apply.
     """
     epsilon = checked_epsilon(epsilon)
-    case, boundary_g, boundary_g_star = regime_labels(params, epsilon)[:3]
+    case, boundary_g, boundary_g_star = coefficient_labels(
+        params.a, params.a_star, params.b, params.b_star, params.lam, params.n, epsilon)[:3]
     if case is GrowthCase.CRITICAL:
         raise DomainError("bracketing check does not apply to the Critical growth case")
     if case is GrowthCase.LOW:

@@ -462,7 +462,7 @@ class TestSweep:
         assert calls == ([], [])
 
     def test_no_classify_per_row(self, scenario, tmp_path, monkeypatch):
-        # Rows take their labels from regime_labels; no RegimeReport is built.
+        # Rows take their labels from coefficient_labels; no RegimeReport is built.
         calls = count_calls(monkeypatch, (regime, cli), "classify")
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--scenario", scenario, "--vary", "n=0.1:10:0.1",
@@ -631,8 +631,9 @@ class TestSweepRowsMatchClassify:
 
 
 def _regime_labels(p, eps):
-    """Growth case, band and behaviors from regime.regime_labels, as strings."""
-    case, _, _, band, g, g_star = regime.regime_labels(p, eps)
+    """Growth case, band and behaviors from regime.coefficient_labels, as strings."""
+    case, _, _, band, g, g_star = regime.coefficient_labels(
+        p.a, p.a_star, p.b, p.b_star, p.lam, p.n, eps)[:6]
     return case.value, band.value, g.value, g_star.value
 
 

@@ -36,6 +36,7 @@ from wellbeing_dynamics import (
 )
 from wellbeing_dynamics import core, dynamics
 from wellbeing_dynamics.dynamics import MAX_GRID_STEPS, _run_rk4, _run_rkf45, uniform_grid
+from wellbeing_dynamics.errors import NumericError
 from wellbeing_dynamics.numerics import adaptive_simpson
 from wellbeing_dynamics.scenario import load_scenario
 from conftest import draw_params, uniform
@@ -1442,7 +1443,7 @@ class TestMaxRelativeDeviation:
         for ref, at in ((B_ref, at_B), (S_ref, at_S)):
             if at is not None:
                 ref[at:] = [0.0] * (6 - at)
-        with pytest.raises(ZeroDivisionError) as exc_info:
+        with pytest.raises(NumericError) as exc_info:
             dynamics.max_relative_deviation(times, B, B_ref, S, S_ref)
         assert str(exc_info.value) == message + ": no relative deviation from it"
 
@@ -1451,7 +1452,7 @@ class TestMaxRelativeDeviation:
         # B is 0.0 while RK4's B stays subnormal.
         params = ScenarioParams(a=0.5, a_star=1.0, b=0.3, b_star=0.05, lam=0.02, n=4.0,
                                 B0=1.0, B0_star=1.0, p0=1.0)
-        with pytest.raises(ZeroDivisionError, match=r"^B underflows to 0 at t = 626\.17: "):
+        with pytest.raises(NumericError, match=r"^B underflows to 0 at t = 626\.17: "):
             cross_validate(params, 700.0)
 
 

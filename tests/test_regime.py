@@ -27,7 +27,7 @@ from wellbeing_dynamics import (
     wellbeing_ratio,
 )
 from wellbeing_dynamics import errors, regime
-from wellbeing_dynamics.regime import coefficient_labels, regime_labels
+from wellbeing_dynamics.regime import coefficient_labels
 from conftest import draw_case_params, draw_params, uniform
 
 LOW = ScenarioParams(a=1.0, a_star=1.0, b=0.2, b_star=0.2, lam=0.1,
@@ -383,12 +383,13 @@ class TestRegimeLabels:
     def test_labels_are_classify_fields(self, drawn):
         p, epsilon = drawn
         r = classify(p, epsilon)
-        assert regime_labels(p, epsilon) == (
+        labels = coefficient_labels(p.a, p.a_star, p.b, p.b_star, p.lam, p.n, epsilon)
+        assert labels[:6] == (
             r.growth_case, r.boundary_g, r.boundary_g_star,
             r.band, r.behavior_g, r.behavior_g_star,
         )
         # Sweep rows print these exponents and classify core's: the same bits.
-        exponents = coefficient_labels(p.a, p.a_star, p.b, p.b_star, p.lam, p.n, epsilon)[6:]
+        exponents = labels[6:]
         assert [x.hex() for x in exponents] == [exponent_g(p).hex(), exponent_g_star(p).hex()]
 
     @given(labelled_params(), st.floats(0.0, 4.0) | st.just(1.0), st.integers(-4, 4))
