@@ -17,17 +17,18 @@ _HOMES = {
     "Dominance": "regime", "DomainError": "errors", "ExponentialIncome": "dynamics",
     "FeasibilityRecord": "regime", "GrowthCase": "regime", "GrowthFit": "calibration",
     "IncomeModel": "dynamics", "IncomeSeries": "calibration", "IntegrationError": "errors",
-    "LinearIncome": "dynamics", "NumericsOptions": "scenario", "QuadratureError": "errors",
-    "RatioAnalysis": "core", "RegimeReport": "regime", "Scenario": "scenario",
-    "ScenarioParams": "core", "SweepSpec": "scenario", "TabulatedIncome": "dynamics",
-    "Trajectory": "dynamics", "WellbeingError": "errors", "chile_gdp_series": "calibration",
-    "classify": "regime", "closed_form_B": "core", "closed_form_B_star": "core",
-    "cross_validate": "dynamics", "exponent_g": "core", "exponent_g_star": "core",
-    "fit_growth_rate": "calibration", "general_wellbeing": "core", "growth_case": "regime",
-    "integrate": "dynamics", "load_scenario": "scenario", "low_band_feasibility": "regime",
-    "parse_scenario": "scenario", "parse_sweep": "scenario", "ratio_analysis": "core",
-    "read_income_series": "calibration", "scenario_from_data": "calibration",
-    "time_grid": "dynamics", "verify_nhat_bracketing": "regime", "wellbeing_ratio": "core",
+    "LinearIncome": "dynamics", "NumericError": "errors", "NumericsOptions": "scenario",
+    "QuadratureError": "errors", "RatioAnalysis": "core", "RegimeReport": "regime",
+    "Scenario": "scenario", "ScenarioParams": "core", "SweepSpec": "scenario",
+    "TabulatedIncome": "dynamics", "Trajectory": "dynamics", "WellbeingError": "errors",
+    "chile_gdp_series": "calibration", "classify": "regime", "closed_form_B": "core",
+    "closed_form_B_star": "core", "cross_validate": "dynamics", "exponent_g": "core",
+    "exponent_g_star": "core", "fit_growth_rate": "calibration", "general_wellbeing": "core",
+    "growth_case": "regime", "integrate": "dynamics", "load_scenario": "scenario",
+    "low_band_feasibility": "regime", "parse_scenario": "scenario", "parse_sweep": "scenario",
+    "ratio_analysis": "core", "read_income_series": "calibration",
+    "scenario_from_data": "calibration", "time_grid": "dynamics",
+    "verify_nhat_bracketing": "regime", "wellbeing_ratio": "core",
 }
 
 __all__ = list(_HOMES)

@@ -20,7 +20,7 @@ from .core import (ScenarioParams, closed_form_B, closed_form_B_star, closed_for
                    exponent_g, exponent_g_star, incomes, ratio_analysis, sign_quadratic)
 from .dynamics import integrate, max_relative_deviation, time_grid
 from .errors import DomainError, WellbeingError, checked
-from .regime import checked_epsilon, classify, coefficient_labels, finite_exponents
+from .regime import checked_epsilon, classify, coefficient_labels
 from .scenario import PARAM_KEYS, SWEEPABLE, load_scenario, parse_sweep, scenario_text, with_param
 
 
@@ -68,9 +68,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     params, t_end, step = scenario.params, args.t_end, scenario.numerics.step
-    if args.mode != "ode":  # the closed forms: their gate, then exponents that are floats
+    if args.mode != "ode":  # the closed forms: their gate, then exponents that are finite
         scenario.closed_form_params()
-        finite_exponents(exponent_g(params), exponent_g_star(params))
+        exponent_g(params), exponent_g_star(params)  # each refuses one past the float range
     if t_end < params.t0:
         raise DomainError(f"--t-end must be >= t0 = {params.t0}, got {t_end}")
     p, q = scenario.income_pair()

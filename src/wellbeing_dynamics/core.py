@@ -59,7 +59,7 @@ class RatioAnalysis(Record):
         g_rate: exact rate (a - a_star)*lam - (b*n - b_star/n) of ln(B/B*).
         f_value: quadratic b*n**2 - (a - a_star)*lam*n - b_star at the
             scenario's n; carries the opposite sign of g_rate (g = -f/n).
-        discriminant: (a - a_star)**2 * lam**2 + 4*b*b_star, always > 0.
+        discriminant: (a - a_star)**2 * lam**2 + 4*b*b_star, > 0; inf if 4*b*b_star overflows.
         n_hat: unique positive root of the quadratic, the critical
             inequality separating eventual dominance.
     """
@@ -77,14 +77,18 @@ def _elapsed(params: ScenarioParams, t) -> float:
     return t - params.t0
 
 
+EXPONENT_G = "exponent_g = a * lam - b * n"  # the exponents' names in checked's DomainError
+EXPONENT_G_STAR = "exponent_g_star = a_star * lam - b_star / n"
+
+
 def exponent_g(params: ScenarioParams) -> float:
-    """Net exponential rate a*lam - b*n of group G under exponential income."""
-    return params.a * params.lam - params.b * params.n
+    """Net exponential rate a*lam - b*n of group G under exponential income, finite."""
+    return checked(params.a * params.lam - params.b * params.n, EXPONENT_G)
 
 
 def exponent_g_star(params: ScenarioParams) -> float:
-    """Net exponential rate a_star*lam - b_star/n of the favored group."""
-    return params.a_star * params.lam - params.b_star / params.n
+    """Net exponential rate a_star*lam - b_star/n of the favored group, finite."""
+    return checked(params.a_star * params.lam - params.b_star / params.n, EXPONENT_G_STAR)
 
 
 _NORMAL = sys.float_info.min  # the smallest normal float
@@ -93,8 +97,8 @@ INCOME_OVERFLOW = "income overflows at t = %.12g"  # for any income past the flo
 
 def grown(level: float, log_growth: float, name: str, t, per: float = 1.0) -> float:
     """exp(log_growth) * level / per: that product when exp(log_growth) and it are normal
-    floats, else exp(ln level - ln per + log_growth), 0.0 below the float range. Past it,
-    a NumericError naming name, t and the log value."""
+    floats, else exp(ln level - ln per + log_growth), 0.0 below the float range. Past it, or
+    when nan (an overflowed rate times 0), a NumericError naming name, t and the log value."""
     if log_growth < 709.78:  # exp stays below the largest float
         factor = math.exp(log_growth)
         value = factor * level / per
@@ -102,7 +106,7 @@ def grown(level: float, log_growth: float, name: str, t, per: float = 1.0) -> fl
             return value
     log_value = math.log(level) - math.log(per) + log_growth
     try:
-        return math.exp(min(log_value, 1e308))  # exp(inf) is inf, without an OverflowError
+        return math.exp(log_value if log_value < 1e308 else 1e308)  # inf and nan raise
     except OverflowError:
         raise NumericError(
             f"{name} overflows at t = {float(t):.12g}: ln {name} = {log_value:.12g}") from None
@@ -207,9 +211,12 @@ def general_wellbeing(
 def sign_quadratic(a: float, a_star: float, b: float, b_star: float, lam: float,
                    n: float) -> tuple[float, float, float]:
     """(gap, f, gap**2), gap = (a - a_star)*lam and f = b*n**2 - gap*n - b_star the sign quadratic
-    at n, for ratio_analysis and sweep rows. DomainError when n, then gap, overflows squared."""
+    at n, for ratio_analysis and sweep rows. DomainError: n, then gap, overflows squared, then f."""
     gap = (a - a_star) * lam
-    return gap, b * squared(n, "n") - gap * n - b_star, squared(gap, "(a - a_star) * lam")
+    f, gap_squared = b * squared(n, "n") - gap * n - b_star, squared(gap, "(a - a_star) * lam")
+    if not math.isfinite(f):  # a finite f pays no call
+        checked(f, "f_value = b * n**2 - (a - a_star) * lam * n - b_star")
+    return gap, f, gap_squared
 
 
 def ratio_terms(a: float, a_star: float, b: float, b_star: float, lam: float,
@@ -220,6 +227,9 @@ def ratio_terms(a: float, a_star: float, b: float, b_star: float, lam: float,
     discriminant = gap_squared + 4.0 * b * b_star
     root = math.sqrt(discriminant)  # n_hat's second form: the same root, without cancellation
     n_hat = (gap_term + root) / (2.0 * b) if gap_term >= 0.0 else 2.0 * b_star / (root - gap_term)
+    if root == math.inf:  # 4*b*b_star overflows: the same two forms on half the gap and root
+        half, root = 0.5 * gap_term, math.hypot(0.5 * gap_term, math.sqrt(b) * math.sqrt(b_star))
+        n_hat = (half + root) / b if half >= 0.0 else b_star / (root - half)
     return g_rate, f_value, discriminant, n_hat
 
 

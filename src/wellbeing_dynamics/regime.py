@@ -17,7 +17,7 @@ import math
 from enum import Enum
 from math import isclose, isfinite
 
-from .core import ScenarioParams, ratio_analysis, ratio_terms
+from .core import EXPONENT_G, EXPONENT_G_STAR, ScenarioParams, ratio_analysis, ratio_terms
 from .errors import DomainError, Record, checked, squared
 
 DEFAULT_EPSILON = 1e-9
@@ -74,6 +74,10 @@ class RegimeReport(Record):
     dominance: Dominance
     roles_reversed: bool
     crossover_time: float | None
+
+    # Unannotated, so not a field: floats that must be finite (classify checks crossover_time).
+    _bounds = {"boundary_g": None, "boundary_g_star": None, "n_hat": None, "g_rate": None,
+               "f_value": None}
 
 
 class FeasibilityRecord(Record):
@@ -134,12 +138,6 @@ def growth_case(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Gro
     return _growth_case(p.a, p.a_star, p.b, p.b_star, p.lam, checked_epsilon(epsilon))
 
 
-def finite_exponents(e_g: float, e_g_star: float) -> None:
-    """Raise checked's DomainError naming the first exponent that is inf or nan, if any."""
-    checked(e_g, "exponent_g = a * lam - b * n")
-    checked(e_g_star, "exponent_g_star = a_star * lam - b_star / n")
-
-
 def coefficient_labels(a: float, a_star: float, b: float, b_star: float, lam: float,
                        n: float, epsilon: float
                        ) -> tuple[GrowthCase, float, float, Band, Behavior, Behavior, float, float]:
@@ -171,7 +169,8 @@ def coefficient_labels(a: float, a_star: float, b: float, b_star: float, lam: fl
             else _LOW if behavior_g is _DIVERGES else _HIGH)
     e_g, e_g_star = growth - loss, growth_star - loss_star
     if not (isfinite(e_g) and isfinite(e_g_star)):  # a sweep row pays no call unless one fails
-        finite_exponents(e_g, e_g_star)
+        checked(e_g, EXPONENT_G)
+        checked(e_g_star, EXPONENT_G_STAR)
     return case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star, e_g, e_g_star
 
 
@@ -200,7 +199,7 @@ def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Regime
             log_ratio = math.log(level_ratio)
         else:  # the quotient under- or overflows; the logarithms do not
             log_ratio = math.log(params.B0) - math.log(params.B0_star)
-        crossover_time = log_ratio / (-g_rate)
+        crossover_time = checked(log_ratio / (-g_rate), "crossover_time")
 
     return RegimeReport(
         growth_case=case, boundary_g=boundary_g, boundary_g_star=boundary_g_star, band=band,

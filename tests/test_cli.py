@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -719,6 +720,40 @@ class TestSweepKernel:
         assert (code, stderr, table) == _reference_sweep(params, vary, 1e-9)
         assert code == 2 and table is None
         assert stderr.splitlines()[-1] == error
+
+
+# "inf" or "nan" as a token: "dominance" holds "nan", "DivergesToInfinity" holds "Inf".
+NON_FINITE = re.compile(r"(?<![A-Za-z])(inf|nan)(?![A-Za-z])")
+
+
+def high_coefficients(**fields):
+    """high.json's coefficients with the levels of wide_params."""
+    return base_params(fields)._replace(B0=1.0, B0_star=2.0, p0=1.0)
+
+
+class TestNoNonFiniteOutput:
+    """A run that exits 0 prints no inf or nan: each number is refused where it is made."""
+
+    @given(params=wide_params)
+    @example(high_coefficients(b=1e155, b_star=1e155))  # 4*b*b_star overflows; n_hat is 1
+    @example(high_coefficients(b=1e10, n=1e150))  # b*n**2 overflows: f_value
+    @example(high_coefficients(a_star=1e-200, b_star=1e200))  # boundary_g_star is 1e401
+    @example(high_coefficients(n=1e-300, b_star=1e10))  # b_star/n overflows: exponent_g_star
+    @settings(max_examples=200, deadline=None)
+    def test_exit_0_prints_only_finite_numbers(self, params):
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario, out = Path(tmp, "s.json"), Path(tmp, "out.csv")
+            scenario.write_text(scenario_text(params))
+            n = params.n
+            for args in (["classify"],
+                         ["sweep", "--vary", f"n={n / 2!r}:{n * 2!r}:{n / 2!r}", "--out", str(out)],
+                         ["simulate", "--mode", "closed", "--t-end", "2", "--out", str(out)]):
+                out.unlink(missing_ok=True)
+                r = run_cli(args[0], "--scenario", str(scenario), *args[1:])
+                assert r.returncode in (0, 1, 2) and "Traceback" not in r.stderr
+                if r.returncode == 0:
+                    printed = r.stdout + (out.read_text() if out.exists() else "")
+                    assert NON_FINITE.search(printed) is None, (args[0], printed[:2000])
 
 
 class TestExtremeInputs:

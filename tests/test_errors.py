@@ -6,14 +6,16 @@ from __future__ import annotations
 
 import ast
 import json
+import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
 
 from wellbeing_dynamics import (ExponentialIncome, ScenarioParams, classify, closed_form_B,
                                 closed_form_B_star, core, dynamics, general_wellbeing,
-                                integrate, low_band_feasibility, verify_nhat_bracketing,
-                                wellbeing_ratio)
+                                integrate, low_band_feasibility, regime,
+                                verify_nhat_bracketing, wellbeing_ratio)
 from wellbeing_dynamics import cli
 from wellbeing_dynamics.errors import (DomainError, IntegrationError, NumericError,
                                        QuadratureError, WellbeingError)
@@ -174,3 +176,127 @@ class TestGrownPastInfinity:
     def test_ratio_underflows_to_zero(self):
         # ln(B/B*) = (exponent_g - exponent_g_star) * t = -0.0417 * 1e308 is -inf.
         assert wellbeing_ratio(self.P, 1e308) == 0.0
+
+
+class TestExponentsCheckThemselves:
+    """exponent_g and exponent_g_star refuse a value past the float range, so every closed
+    form does too, where each used to return nan (-inf times an elapsed time of 0)."""
+
+    P = ScenarioParams(a=1.0, a_star=1.0, b=0.05, b_star=1e10, lam=0.1, n=1e-300,
+                       B0=1.0, B0_star=1.0, p0=2.0)
+    G_STAR = TestExponentPastTheFloatRange.G_STAR
+
+    @pytest.mark.parametrize("call", [
+        lambda p: core.exponent_g_star(p),
+        lambda p: closed_form_B_star(p, 0.0),
+        lambda p: core.closed_form_columns(p, [0.0, 1.0]),
+    ], ids=["exponent_g_star", "closed_form_B_star", "closed_form_columns"])
+    def test_refuses_naming_the_exponent(self, call):
+        with pytest.raises(DomainError) as exc_info:
+            call(self.P)
+        assert str(exc_info.value) == self.G_STAR
+
+    def test_exponent_g_refuses_nan(self):
+        p = ScenarioParams(a=1e300, a_star=1.0, b=1e300, b_star=1.0, lam=1e10, n=1e10,
+                           B0=1.0, B0_star=1.0, p0=1.0)
+        with pytest.raises(DomainError, match=r"^exponent_g = a \* lam - b \* n must be finite, "
+                                              r"got nan$"):
+            core.exponent_g(p)
+
+    def test_helper_is_gone(self):
+        assert not hasattr(regime, "finite_exponents")
+
+    def test_ratio_at_t0_raises_numeric_error(self):
+        # g_rate is inf, and inf * 0 elapsed is a nan log value: refused, not returned.
+        with pytest.raises(NumericError, match=r"^B/B_star overflows at t = 0: "
+                                               r"ln B/B_star = nan$"):
+            wellbeing_ratio(self.P, 0.0)
+
+    def test_grown_refuses_a_nan_log_growth(self):
+        with pytest.raises(NumericError, match=r"^B overflows at t = 3: ln B = nan$"):
+            core.grown(1.0, math.nan, "B", 3.0)
+
+
+def exact_n_hat(a, a_star, b, b_star, lam):
+    """n_hat to 60 digits from the float gap (a - a_star)*lam, as ratio_terms takes it."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        gap, b, b_star = Decimal((a - a_star) * lam), Decimal(b), Decimal(b_star)
+        root = (gap * gap + 4 * b * b_star).sqrt()
+        return float(2 * b_star / (root - gap) if gap < 0 else (gap + root) / (2 * b))
+
+
+class TestNhatWhenTheDiscriminantOverflows:
+    """4*b*b_star past the float range makes the discriminant inf; n_hat still fits and is
+    computed from half the gap and half the root."""
+
+    @pytest.mark.parametrize("b,b_star", [(6e153, 6e153), (7e153, 7e153), (1e155, 1e155),
+                                          (1e200, 1e250), (1e300, 1e-10), (1.7e308, 5e307)])
+    @pytest.mark.parametrize("a,a_star", [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0),
+                                          (1e151, 1.0), (1.0, 1e151)])
+    def test_n_hat_is_exact_to_a_few_ulps(self, a, a_star, b, b_star):
+        g_rate, f_value, discriminant, n_hat = core.ratio_terms(a, a_star, b, b_star, 0.1, 1.0)
+        assert math.isfinite(n_hat) and n_hat > 0.0
+        assert n_hat == pytest.approx(exact_n_hat(a, a_star, b, b_star, 0.1), rel=1e-15)
+
+    def test_discriminant_stays_inf(self):
+        analysis = core.ratio_analysis(ScenarioParams(
+            a=1.0, a_star=1.0, b=1e155, b_star=1e155, lam=0.1, n=1.5, B0=1.0, B0_star=1.0,
+            p0=2.0))
+        assert analysis.discriminant == math.inf
+        assert analysis.n_hat == pytest.approx(1.0, rel=1e-15)  # sqrt(b) * sqrt(b_star) rounds
+
+    def test_classify_prints_n_hat_and_dominance(self, tmp_path):
+        r = run_cli("classify", "--scenario", high_with(tmp_path, b=1e155, b_star=1e155))
+        assert r.returncode == 0 and r.stderr == ""
+        assert {"n_hat: 1", "dominance: G_star"} <= set(r.stdout.splitlines())
+
+
+F_VALUE = "f_value = b * n**2 - (a - a_star) * lam * n - b_star must be finite, got inf"
+
+
+class TestPrintedNumbersAreFinite:
+    """classify and sweep refuse a number that would print as inf where it is made: f_value in
+    sign_quadratic, the report's floats in RegimeReport, crossover_time in classify."""
+
+    def test_sign_quadratic_refuses_f_after_the_squares(self):
+        with pytest.raises(DomainError) as exc_info:
+            core.sign_quadratic(1.0, 1.0, 1e10, 0.05, 0.1, 1e150)
+        assert str(exc_info.value) == F_VALUE
+        # Both n**2 and f overflow: the square is named first, as before.
+        with pytest.raises(DomainError, match=r"^n = 1e\+155 overflows when squared$"):
+            core.sign_quadratic(1.0, 1.0, 1e10, 0.05, 0.1, 1e155)
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"],
+        ["sweep", "--vary", "b_star=0.04:0.06:0.01", "--out", "OUT"],
+    ], ids=["classify", "sweep"])
+    def test_f_value_overflow_exits_2(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        argv = [str(out) if arg == "OUT" else arg for arg in argv]
+        r = run_cli(*argv, "--scenario", high_with(tmp_path, b=1e10, n=1e150))
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {F_VALUE}\n")
+        assert not out.exists()
+
+    def test_boundary_past_the_float_range_exits_2(self, tmp_path):
+        # b_star / (a_star * lam) = 1e200 / 1e-201 = 1e401.
+        r = run_cli("classify", "--scenario", high_with(tmp_path, a_star=1e-200, b_star=1e200))
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: boundary_g_star must be finite, got inf\n")
+
+    def test_crossover_time_past_the_float_range(self):
+        # a - a_star is one ulp and lam is 1e-300: g_rate is subnormal, ln(B0/B0_star) is not.
+        p = ScenarioParams(a=1.0, a_star=1.0 - 2.0**-53, b=1.0, b_star=1.0, lam=1e-300, n=1.0,
+                           B0=1e300, B0_star=1e-300, p0=1.0)
+        with pytest.raises(DomainError, match=r"^crossover_time must be finite, got -inf$"):
+            classify(p)
+
+    @pytest.mark.parametrize("field", ["boundary_g", "boundary_g_star", "n_hat", "g_rate",
+                                       "f_value"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_report_refuses_a_non_finite_field(self, field, value):
+        report = classify(ScenarioParams(a=1.0, a_star=1.0, b=0.05, b_star=0.05, lam=0.1,
+                                         n=1.5, B0=1.0, B0_star=1.0, p0=2.0))
+        with pytest.raises(DomainError, match=f"^{field} must be finite, got {value!r}$"):
+            report._replace(**{field: value})
+        assert math.copysign(1.0, getattr(report._replace(**{field: -0.0}), field)) == 1.0

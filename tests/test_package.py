@@ -18,8 +18,9 @@ from conftest import SRC
 ALL = """
     Band Behavior BracketCheck CHILE_DECADE_MEAN_GROWTH CHILE_GDP_PROJECTION_2019 Dominance
     DomainError ExponentialIncome FeasibilityRecord GrowthCase GrowthFit IncomeModel
-    IncomeSeries IntegrationError LinearIncome NumericsOptions QuadratureError RatioAnalysis
-    RegimeReport Scenario ScenarioParams SweepSpec TabulatedIncome Trajectory WellbeingError
+    IncomeSeries IntegrationError LinearIncome NumericError NumericsOptions QuadratureError
+    RatioAnalysis RegimeReport Scenario ScenarioParams SweepSpec TabulatedIncome Trajectory
+    WellbeingError
     chile_gdp_series classify closed_form_B closed_form_B_star cross_validate exponent_g
     exponent_g_star fit_growth_rate general_wellbeing growth_case integrate load_scenario
     low_band_feasibility parse_scenario parse_sweep ratio_analysis read_income_series
@@ -34,7 +35,7 @@ HOMES = {
         exponent_g_star general_wellbeing ratio_analysis wellbeing_ratio""",
     "dynamics": """ExponentialIncome IncomeModel LinearIncome TabulatedIncome Trajectory
         cross_validate integrate time_grid""",
-    "errors": "DomainError IntegrationError QuadratureError WellbeingError",
+    "errors": "DomainError IntegrationError NumericError QuadratureError WellbeingError",
     "regime": """Band Behavior BracketCheck Dominance FeasibilityRecord GrowthCase RegimeReport
         classify growth_case low_band_feasibility verify_nhat_bracketing""",
     "scenario": "NumericsOptions Scenario SweepSpec load_scenario parse_scenario parse_sweep",
