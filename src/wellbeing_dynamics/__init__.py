@@ -15,7 +15,7 @@ _HOMES = {
     "Band": "regime", "Behavior": "regime", "BracketCheck": "regime",
     "CHILE_DECADE_MEAN_GROWTH": "calibration", "CHILE_GDP_PROJECTION_2019": "calibration",
     "Dominance": "regime", "DomainError": "errors", "ExponentialIncome": "dynamics",
-    "FeasibilityRecord": "regime", "GrowthCase": "regime", "GrowthFit": "calibration",
+    "GrowthCase": "regime", "GrowthFit": "calibration",
     "IncomeModel": "dynamics", "IncomeSeries": "calibration", "IntegrationError": "errors",
     "LinearIncome": "dynamics", "NumericError": "errors", "NumericsOptions": "scenario",
     "QuadratureError": "errors", "RatioAnalysis": "core", "RegimeReport": "regime",
@@ -25,7 +25,7 @@ _HOMES = {
     "closed_form_B_star": "core", "cross_validate": "dynamics", "exponent_g": "core",
     "exponent_g_star": "core", "fit_growth_rate": "calibration", "general_wellbeing": "core",
     "growth_case": "regime", "integrate": "dynamics", "load_scenario": "scenario",
-    "low_band_feasibility": "regime", "parse_scenario": "scenario", "parse_sweep": "scenario",
+    "parse_scenario": "scenario", "parse_sweep": "scenario",
     "ratio_analysis": "core", "read_income_series": "calibration",
     "scenario_from_data": "calibration", "time_grid": "dynamics",
     "verify_nhat_bracketing": "regime", "wellbeing_ratio": "core",

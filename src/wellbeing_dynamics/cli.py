@@ -67,7 +67,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    params, t_end, step = scenario.params, args.t_end, scenario.numerics.step
+    params, t_end, step = scenario.params, checked(args.t_end, "--t-end"), scenario.numerics.step
     if args.mode != "ode":  # the closed forms: their gate, then exponents that are finite
         scenario.closed_form_params()
         exponent_g(params), exponent_g_star(params)  # each refuses one past the float range
@@ -205,7 +205,3 @@ def main(argv=None) -> int:
         detail = "" if last_time is None else f" (last good t = {last_time:.12g})"
         print(f"error: {exc}{detail}", file=sys.stderr)
         return 2 if isinstance(exc, DomainError) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

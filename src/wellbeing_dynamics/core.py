@@ -69,6 +69,9 @@ class RatioAnalysis(Record):
     discriminant: float
     n_hat: float
 
+    # Unannotated, so not a field: floats that must be finite (the discriminant may be inf).
+    _bounds = {"g_rate": None, "f_value": None, "n_hat": None}
+
 
 def _elapsed(params: ScenarioParams, t) -> float:
     t = checked(t, "t")

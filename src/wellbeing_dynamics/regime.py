@@ -59,6 +59,8 @@ class RegimeReport(Record):
     roles_reversed flags n < 1, where the nominally favored group
     actually earns less. g_rate (the exact rate of ln(B/B*)) and f_value
     (the sign quadratic at n) are those of the scenario's RatioAnalysis.
+    The Low band ends at min(boundary_g, boundary_g_star), so some n >= 1
+    falls in it exactly when that edge is above 1.
     """
 
     growth_case: GrowthCase
@@ -78,21 +80,6 @@ class RegimeReport(Record):
     # Unannotated, so not a field: floats that must be finite (classify checks crossover_time).
     _bounds = {"boundary_g": None, "boundary_g_star": None, "n_hat": None, "g_rate": None,
                "f_value": None}
-
-
-class FeasibilityRecord(Record):
-    """Whether any admissible n >= 1 falls in the Low band.
-
-    The Low band is ]0, low_band_upper[ with low_band_upper the smaller
-    of the two boundaries, so feasibility is equivalent to
-    favored_margin = a_star*lam/b_star < 1 < a*lam/b = own_margin.
-    """
-
-    growth_case: GrowthCase
-    low_band_upper: float
-    feasible: bool
-    own_margin: float
-    favored_margin: float
 
 
 class BracketCheck(Record):
@@ -144,7 +131,7 @@ def coefficient_labels(a: float, a_star: float, b: float, b_star: float, lam: fl
     """Growth case, boundary_g, boundary_g_star, band, behavior_g, behavior_g_star
     and the exponents a*lam - b*n and a_star*lam - b_star/n (the floats of core's
     exponent_g and exponent_g_star) from the six coefficients, for an epsilon the
-    caller has checked. classify, its two checks below and sweep rows share it.
+    caller has checked. classify, verify_nhat_bracketing and sweep rows share it.
 
     Raises:
         DomainError: a_star*lam underflows to 0, lam**2 overflows, a*a_star
@@ -206,19 +193,6 @@ def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Regime
         behavior_g=behavior_g, behavior_g_star=behavior_g_star, n_hat=n_hat,
         g_rate=g_rate, f_value=f_value, interval_j=interval_j,
         dominance=dominance, roles_reversed=params.n < 1.0, crossover_time=crossover_time)
-
-
-def low_band_feasibility(
-    params: ScenarioParams, epsilon: float = DEFAULT_EPSILON
-) -> FeasibilityRecord:
-    """Report whether {n : 1 <= n < Low band's upper edge} is nonempty."""
-    case, boundary_g, boundary_g_star = coefficient_labels(
-        params.a, params.a_star, params.b, params.b_star, params.lam, params.n,
-        checked_epsilon(epsilon))[:3]
-    low_band_upper = min(boundary_g, boundary_g_star)
-    return FeasibilityRecord(growth_case=case, low_band_upper=low_band_upper,
-                             feasible=low_band_upper > 1.0, own_margin=boundary_g,
-                             favored_margin=params.a_star * params.lam / params.b_star)
 
 
 def verify_nhat_bracketing(

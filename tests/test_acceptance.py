@@ -31,7 +31,6 @@ from wellbeing_dynamics import (
     fit_growth_rate,
     general_wellbeing,
     growth_case,
-    low_band_feasibility,
     ratio_analysis,
     verify_nhat_bracketing,
 )
@@ -212,12 +211,12 @@ def test_criterion_7_symmetric_low_band_is_infeasible():
     for _ in range(1_000):
         p = draw_params(rng)
         sym = p._replace(a_star=p.a, b_star=p.b)
-        rec = low_band_feasibility(sym)
-        assert rec.feasible is False, sym
-        assert rec.low_band_upper <= 1.0
+        r = classify(sym)
+        assert min(r.boundary_g, r.boundary_g_star) <= 1.0, sym
     asym = ScenarioParams(a=10.0, a_star=0.1, b=0.05, b_star=0.5, lam=0.1,
                           n=0.5, B0=1.0, B0_star=1.0, p0=1.0)
-    assert low_band_feasibility(asym).feasible is True
+    r = classify(asym)
+    assert min(r.boundary_g, r.boundary_g_star) > 1.0
     print("PASS criterion 7: equal-coefficient scenarios never admit a "
           "feasible low band (1000 draws); the asymmetric example does")
 

@@ -216,6 +216,16 @@ class TestSimulate:
                     "--out", str(tmp_path / "x.csv"))
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("mode", ["closed", "ode", "both"])
+    @pytest.mark.parametrize("t_end", ["nan", "inf", "-inf"])
+    def test_non_finite_t_end_names_the_flag(self, scenario, tmp_path, t_end, mode):
+        out = tmp_path / "x.csv"
+        r = run_cli("simulate", "--scenario", scenario, f"--t-end={t_end}", "--mode", mode,
+                    "--out", str(out))
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == f"error: --t-end must be finite, got {t_end}\n"
+        assert not out.exists()
+
     def test_closed_mode_rejects_linear_override(self, tmp_path):
         sc = write_scenario(tmp_path / "lin.json",
                             income_model={"type": "linear", "slope": 0.1})
@@ -246,6 +256,19 @@ class TestSimulate:
                     "--mode", "ode", "--out", str(tmp_path / "x.csv"))
         assert r.returncode == 1
         assert "last good t" in r.stderr
+
+    def test_non_positive_income_sample_exits_1(self, tmp_path):
+        # p = 1 - t reaches 0 on the grid at t = 1.0, where RK4 refuses the sample.
+        sc = write_scenario(tmp_path / "zero.json", a=0.01, a_star=0.01, p0=1.0,
+                            income_model={"type": "linear", "slope": -1},
+                            numerics={"step": 0.1})
+        out = tmp_path / "x.csv"
+        r = run_cli("simulate", "--scenario", sc, "--t-end", "2", "--mode", "ode",
+                    "--out", str(out))
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == ("error: non-positive income sample at t = 1.0 "
+                            "(last good t = 0.9)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("t0,points,t_end,window", [
         (0.0, [[0, 2.0], [5, 3.0]], "10", "[0.0, 10.0] leaves the tabulated range [0.0, 5.0]"),
@@ -641,7 +664,7 @@ def _regime_labels(p, eps):
 def _reference_sweep(params, vary, eps, labels=_regime_labels):
     """(exit code, stderr, table or None) of the per-row chain sweep rows
     ran before they became one pass on floats: with_param, labels,
-    ratio_analysis and the exponents, all on a ScenarioParams per row."""
+    sign_quadratic and the exponents, all on a ScenarioParams per row."""
     spec = parse_sweep(vary)
     rows = ["value,exponent_g,exponent_g_star,f_value,band,behavior_g,behavior_g_star,growth_case"]
     stderr, skipped = [], []
@@ -654,7 +677,7 @@ def _reference_sweep(params, vary, eps, labels=_regime_labels):
             continue
         try:
             case, band, g, g_star = labels(p, eps)
-            f_value = core.ratio_analysis(p).f_value
+            f_value = core.sign_quadratic(p.a, p.a_star, p.b, p.b_star, p.lam, p.n)[1]
         except DomainError as exc:
             return 2, "".join(stderr) + f"error: {exc}\n", None
         rows.append(

@@ -398,6 +398,18 @@ class TestIntegrate:
         assert err.last_state is not None
         assert all(v > 0 for v in err.last_state)
 
+    def test_non_positive_income_sample_refused(self):
+        # p = 1 - t is 0 at the grid point t = 1.0, before the state leaves the positive domain.
+        params = ScenarioParams(a=0.01, a_star=0.01, b=0.05, b_star=0.05, lam=0.1, n=1.5,
+                                B0=1.0, B0_star=1.0, p0=1.0)
+        p = LinearIncome(1.0, -1.0)
+        with pytest.raises(IntegrationError,
+                           match=r"^non-positive income sample at t = 1\.0$") as exc_info:
+            integrate(p, p.scaled(params.n), params, 2.0, step=0.1)
+        last = integrate(p, p.scaled(params.n), params, 0.9, step=0.1)
+        assert exc_info.value.last_time == last.times[-1] == 0.9
+        assert exc_info.value.last_state == (last.B[-1], last.B_star[-1])
+
     @pytest.mark.parametrize("method", ["rk4", "rkf45"])
     @pytest.mark.parametrize("t0,t_end,window", [
         (0.0, 5.0, "[0.0, 5.0] leaves the tabulated range [0.0, 1.0]"),

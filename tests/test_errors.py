@@ -14,8 +14,7 @@ import pytest
 
 from wellbeing_dynamics import (ExponentialIncome, ScenarioParams, classify, closed_form_B,
                                 closed_form_B_star, core, dynamics, general_wellbeing,
-                                integrate, low_band_feasibility, regime,
-                                verify_nhat_bracketing, wellbeing_ratio)
+                                integrate, regime, verify_nhat_bracketing, wellbeing_ratio)
 from wellbeing_dynamics import cli
 from wellbeing_dynamics.errors import (DomainError, IntegrationError, NumericError,
                                        QuadratureError, WellbeingError)
@@ -144,7 +143,7 @@ class TestExponentPastTheFloatRange:
     def test_library_classify_family_refuses(self):
         p = ScenarioParams(a=1.0, a_star=1.0, b=0.05, b_star=1e10, lam=0.1, n=1e-300,
                            B0=1.0, B0_star=1.0, p0=2.0)
-        for call in (classify, low_band_feasibility, verify_nhat_bracketing):
+        for call in (classify, verify_nhat_bracketing):
             with pytest.raises(DomainError) as exc_info:
                 call(p)
             assert str(exc_info.value) == self.G_STAR
@@ -207,10 +206,16 @@ class TestExponentsCheckThemselves:
         assert not hasattr(regime, "finite_exponents")
 
     def test_ratio_at_t0_raises_numeric_error(self):
-        # g_rate is inf, and inf * 0 elapsed is a nan log value: refused, not returned.
-        with pytest.raises(NumericError, match=r"^B/B_star overflows at t = 0: "
-                                               r"ln B/B_star = nan$"):
+        # b_star/n overflows, so g_rate is inf: refused by name before any time is read.
+        with pytest.raises(DomainError, match=r"^g_rate must be finite, got inf$"):
             wellbeing_ratio(self.P, 0.0)
+
+    def test_ratio_analysis_refuses_a_non_finite_rate(self):
+        with pytest.raises(DomainError, match=r"^g_rate must be finite, got inf$"):
+            core.ratio_analysis(self.P)
+        # The discriminant alone may be inf: 4*b*b_star overflows, n_hat does not.
+        p = self.P._replace(b=1e155, b_star=1e155, n=1.5)
+        assert core.ratio_analysis(p).discriminant == math.inf
 
     def test_grown_refuses_a_nan_log_growth(self):
         with pytest.raises(NumericError, match=r"^B overflows at t = 3: ln B = nan$"):

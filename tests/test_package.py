@@ -17,13 +17,13 @@ from conftest import SRC
 #: __all__ in its order: sorted, except that Dominance comes before DomainError.
 ALL = """
     Band Behavior BracketCheck CHILE_DECADE_MEAN_GROWTH CHILE_GDP_PROJECTION_2019 Dominance
-    DomainError ExponentialIncome FeasibilityRecord GrowthCase GrowthFit IncomeModel
+    DomainError ExponentialIncome GrowthCase GrowthFit IncomeModel
     IncomeSeries IntegrationError LinearIncome NumericError NumericsOptions QuadratureError
     RatioAnalysis RegimeReport Scenario ScenarioParams SweepSpec TabulatedIncome Trajectory
     WellbeingError
     chile_gdp_series classify closed_form_B closed_form_B_star cross_validate exponent_g
     exponent_g_star fit_growth_rate general_wellbeing growth_case integrate load_scenario
-    low_band_feasibility parse_scenario parse_sweep ratio_analysis read_income_series
+    parse_scenario parse_sweep ratio_analysis read_income_series
     scenario_from_data time_grid verify_nhat_bracketing wellbeing_ratio
 """.split()
 
@@ -36,8 +36,8 @@ HOMES = {
     "dynamics": """ExponentialIncome IncomeModel LinearIncome TabulatedIncome Trajectory
         cross_validate integrate time_grid""",
     "errors": "DomainError IntegrationError NumericError QuadratureError WellbeingError",
-    "regime": """Band Behavior BracketCheck Dominance FeasibilityRecord GrowthCase RegimeReport
-        classify growth_case low_band_feasibility verify_nhat_bracketing""",
+    "regime": """Band Behavior BracketCheck Dominance GrowthCase RegimeReport
+        classify growth_case verify_nhat_bracketing""",
     "scenario": "NumericsOptions Scenario SweepSpec load_scenario parse_scenario parse_sweep",
 }
 
@@ -70,6 +70,23 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="^module 'wellbeing_dynamics' has no attribute "
                                              "'no_such_name'$"):
         wd.no_such_name
+
+
+def test_low_band_feasibility_has_one_route():
+    # classify's two boundaries answer it; the second route and its record are gone.
+    regime = import_module("wellbeing_dynamics.regime")
+    for name in ("FeasibilityRecord", "low_band_feasibility"):
+        assert not hasattr(regime, name) and not hasattr(wd, name)
+
+
+def test_python_m_cli_runs_no_command():
+    # The entry points are wbdyn and `python -m wellbeing_dynamics`; running the cli module
+    # only imports it.
+    runs = [subprocess.run([sys.executable, "-m", module, "--help"], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": SRC})
+            for module in ("wellbeing_dynamics.cli", "wellbeing_dynamics")]
+    assert (runs[0].returncode, runs[0].stdout, runs[0].stderr) == (0, "", "")
+    assert runs[1].returncode == 0 and runs[1].stdout.startswith("usage: ")
 
 
 def test_imports_load_only_the_submodules_they_use():

@@ -1,4 +1,4 @@
-"""The record contract: what the package's 14 immutable record classes share.
+"""The record contract: what the package's 13 immutable record classes share.
 
 Each class is built from one example, its fields in order. A record must take
 them by position or keyword, compare, hash and print as a frozen dataclass of
@@ -15,11 +15,10 @@ from dataclasses import FrozenInstanceError, make_dataclass
 
 import pytest
 
-from wellbeing_dynamics import (BracketCheck, DomainError, ExponentialIncome, FeasibilityRecord,
-                                GrowthFit, IncomeSeries, LinearIncome, NumericsOptions,
-                                RatioAnalysis, RegimeReport, Scenario, ScenarioParams, SweepSpec,
-                                TabulatedIncome, Trajectory, classify, low_band_feasibility,
-                                verify_nhat_bracketing)
+from wellbeing_dynamics import (BracketCheck, DomainError, ExponentialIncome, GrowthFit,
+                                IncomeSeries, LinearIncome, NumericsOptions, RatioAnalysis,
+                                RegimeReport, Scenario, ScenarioParams, SweepSpec,
+                                TabulatedIncome, Trajectory, classify, verify_nhat_bracketing)
 
 PARAMS = dict(a=1.0, a_star=0.8, b=0.05, b_star=0.04, lam=0.03, n=2.0, B0=1.0, B0_star=1.5,
               p0=2.0, t0=0.0)
@@ -40,7 +39,6 @@ EXAMPLES = {
     Trajectory: dict(times=(0.0, 1.0), B=(1.0, 1.1), B_star=(1.0, 0.9), p=(2.0, 2.06),
                      q=(4.0, 4.12), method="rk4", step=1.0, tolerance=None),
     RegimeReport: fields_of(classify(P)),
-    FeasibilityRecord: fields_of(low_band_feasibility(P)),
     BracketCheck: fields_of(verify_nhat_bracketing(P)),
     NumericsOptions: dict(step=0.05, epsilon=1e-6),
     Scenario: dict(params=P, income=ExponentialIncome(2.0, 0.03), numerics=NumericsOptions()),
@@ -52,6 +50,7 @@ EXAMPLES = {
 #: A change per validating class that its check refuses.
 BAD_CHANGES = {
     ScenarioParams: {"n": -1.0},
+    RatioAnalysis: {"g_rate": math.inf},
     ExponentialIncome: {"p0": 0.0},
     LinearIncome: {"slope": math.inf},
     TabulatedIncome: {"points": ((0.0, 1.0),)},
@@ -65,7 +64,7 @@ classes = pytest.mark.parametrize("cls", EXAMPLES, ids=lambda cls: cls.__name__)
 
 
 def test_every_record_class_has_an_example():
-    assert len(EXAMPLES) == 14
+    assert len(EXAMPLES) == 13
     for cls, example in EXAMPLES.items():
         assert cls._fields == tuple(example)
 

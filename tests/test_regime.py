@@ -21,7 +21,6 @@ from wellbeing_dynamics import (
     exponent_g,
     exponent_g_star,
     growth_case,
-    low_band_feasibility,
     ratio_analysis,
     verify_nhat_bracketing,
     wellbeing_ratio,
@@ -256,29 +255,32 @@ class TestIntervalJ:
         assert higher_a_star[0] < base[0] and higher_a_star[1] == base[1]
 
 
+def low_band_upper(p: ScenarioParams) -> float:
+    """The Low band's upper edge: some n >= 1 lies in the band exactly when it is above 1."""
+    r = classify(p)
+    return min(r.boundary_g, r.boundary_g_star)
+
+
 class TestLowBandFeasibility:
     def test_symmetric_coefficients_never_feasible(self):
         for lam in (0.01, 0.05, 0.1, 0.2, 1.0):
             p = LOW._replace(lam=lam, b=0.05, b_star=0.05)
-            rec = low_band_feasibility(p)
-            assert rec.feasible is False
-            assert rec.low_band_upper <= 1.0
+            assert low_band_upper(p) <= 1.0
 
     def test_symmetric_draws_never_feasible(self):
         rng = random.Random(29)
         for _ in range(300):
             p = draw_params(rng)
             p = p._replace(a_star=p.a, b_star=p.b)
-            assert low_band_feasibility(p).feasible is False
+            assert low_band_upper(p) <= 1.0
 
     def test_feasible_requires_asymmetry(self):
         p = ScenarioParams(a=10.0, a_star=0.1, b=0.05, b_star=0.5, lam=0.1,
                            n=0.5, B0=1.0, B0_star=1.0, p0=1.0)
-        rec = low_band_feasibility(p)
-        assert rec.feasible is True
-        assert rec.own_margin == pytest.approx(20.0, rel=1e-12)
-        assert rec.favored_margin == pytest.approx(0.02, rel=1e-12)
-        assert rec.low_band_upper > 1.0
+        r = classify(p)
+        assert r.boundary_g == pytest.approx(20.0, rel=1e-12)
+        assert r.boundary_g_star == pytest.approx(50.0, rel=1e-12)
+        assert low_band_upper(p) > 1.0
         # n below the upper bound really lands in a Low band where the
         # poorer group grows.
         assert classify(p).band is Band.LOW
@@ -288,18 +290,16 @@ class TestLowBandFeasibility:
         # a*lam == b makes the plain boundary exactly 1.
         p = ScenarioParams(a=1.0, a_star=1.0, b=0.1, b_star=0.3, lam=0.1,
                            n=0.5, B0=1.0, B0_star=1.0, p0=1.0)
-        rec = low_band_feasibility(p)
-        assert rec.own_margin == 1.0
-        assert rec.feasible is False
+        assert classify(p).boundary_g == 1.0
+        assert low_band_upper(p) <= 1.0
 
     def test_feasible_iff_unit_gap_in_low_band(self):
         rng = random.Random(31)
         for _ in range(500):
             p = draw_params(rng)
-            rec = low_band_feasibility(p)
             r = classify(p._replace(n=1.0))
             in_low_band = r.band is Band.LOW
-            assert rec.feasible == in_low_band
+            assert (low_band_upper(p) > 1.0) == in_low_band
 
 
 class TestBracketing:
@@ -418,7 +418,7 @@ class TestRegimeLabels:
     ])
     def test_underflowed_product_named(self, fields, product):
         p = HIGH._replace(**fields)
-        calls = [classify, low_band_feasibility, verify_nhat_bracketing]
+        calls = [classify, verify_nhat_bracketing]
         if product == "a * a_star":  # growth_case forms no boundary
             calls.append(growth_case)
         for call in calls:
@@ -426,7 +426,7 @@ class TestRegimeLabels:
                 call(p)
 
 
-PUBLIC = (classify, growth_case, low_band_feasibility, verify_nhat_bracketing)
+PUBLIC = (classify, growth_case, verify_nhat_bracketing)
 
 
 class TestEpsilonCheckedOnce:
