@@ -14,13 +14,13 @@ import sys
 from itertools import chain
 
 from .calibration import fit_growth_rate, read_income_series, scenario_from_data
-# The benchmark's traced run wraps these names here to count calls: classify, exponent_g(_star),
-# closed_form_B(_star), ratio_analysis and with_param stay bound though no table row calls them.
+# The benchmark's traced run wraps names here to count calls. No cli code calls closed_form_B,
+# closed_form_B_star, ratio_analysis or with_param: they are bound for it alone.
 from .core import (ScenarioParams, closed_form_B, closed_form_B_star, closed_form_columns,
-                   exponent_g, exponent_g_star, incomes, ratio_analysis, sign_quadratic)
+                   exponent_g, exponent_g_star, incomes, n_free_terms, n_terms, ratio_analysis)
 from .dynamics import integrate, max_relative_deviation, time_grid
 from .errors import DomainError, WellbeingError, checked
-from .regime import checked_epsilon, classify, coefficient_labels
+from .regime import checked_epsilon, classify
 from .scenario import PARAM_KEYS, SWEEPABLE, load_scenario, parse_sweep, scenario_text, with_param
 
 
@@ -49,8 +49,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         ("band", report.band.value),
         ("behavior_g", report.behavior_g.value),
         ("behavior_g_star", report.behavior_g_star.value),
-        ("exponent_g", f"{exponent_g(params):.12g}"),
-        ("exponent_g_star", f"{exponent_g_star(params):.12g}"),
+        ("exponent_g", f"{report.exponent_g:.12g}"),
+        ("exponent_g_star", f"{report.exponent_g_star:.12g}"),
         ("g_rate", f"{report.g_rate:.12g}"),
         ("f_value", f"{report.f_value:.12g}"),
         ("n_hat", f"{report.n_hat:.12g}"),
@@ -104,12 +104,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     spec = parse_sweep(args.vary)
     rows = ["value,exponent_g,exponent_g_star,f_value,band,behavior_g,behavior_g_star,growth_case"]
     skipped = []
-    # One pass on floats; SWEEPABLE is coefficient_labels' and sign_quadratic's argument order.
-    # A row: with_param's check, the labels and exponents, then f. _value_ is an enum's .value.
+    # One pass on floats in SWEEPABLE order, the kernels' (n last); _value_ is an enum's .value.
     coefficients = [getattr(params, PARAM_KEYS[key]) for key in SWEEPABLE]
     at, field = SWEEPABLE.index(spec.name), PARAM_KEYS[spec.name]
     bound = ScenarioParams._bounds[field]
-    row = "%.12g,%.12g,%.12g,%.12g,%s,%s,%s,%s"
+    row, free = "%.12g,%.12g,%.12g,%.12g,%s,%s,%s,%s", None
     for value in spec.grid():
         try:
             coefficients[at] = checked(value, field, bound) + 0.0
@@ -117,11 +116,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             skipped.append(f"skipped {spec.name}={value:.12g}: {exc}")
             print("warning: " + skipped[-1], file=sys.stderr)
             continue
-        case, _, _, band, g, g_star, exp_g, exp_g_star = coefficient_labels(*coefficients, epsilon)
-        rows.append(row % (
-            value, exp_g, exp_g_star, sign_quadratic(*coefficients)[1],
-            band._value_, g._value_, g_star._value_, case._value_,
-        ))
+        if free is None or spec.name != "n":  # the n-free half: once, at an n grid's first row
+            free = n_free_terms(*coefficients[:5], epsilon)
+        g, g_star, band, exp_g, exp_g_star, f_value, _ = n_terms(
+            free, coefficients[2], coefficients[3], coefficients[5], epsilon)
+        rows.append(row % (value, exp_g, exp_g_star, f_value,
+                           band._value_, g._value_, g_star._value_, free[0]._value_))
     _write_table(args.out, rows + ["# " + line for line in skipped])
     return 0
 
@@ -197,6 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for at in range(len(argv) - 1, 0, -1):  # argparse takes "-inf" for an option: join it
+        if argv[at].lower() in ("-inf", "-infinity", "-nan") and argv[at - 1].startswith("--"):
+            argv[at - 1:at + 1] = [f"{argv[at - 1]}={argv[at]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

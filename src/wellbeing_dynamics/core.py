@@ -5,17 +5,45 @@ earns q(t) = n * p(t). Well-being of each group grows with its own
 income growth and decays with the income gap against the other group.
 This module holds the parameter container, the exponential-income
 closed forms, the general-income solution driven by quadrature, and the
-ratio analysis that locates the critical inequality n_hat separating
-which group eventually dominates.
+two kernels that write each classification formula once: n_free_terms
+(growth case, boundaries, and the critical inequality n_hat separating
+which group eventually dominates) and n_terms, which adds n.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from enum import Enum
+from math import isclose, isfinite
 
 from .errors import DomainError, NumericError, Record, checked, squared
 from .numerics import adaptive_simpson
+
+
+class GrowthCase(str, Enum):
+    LOW = "LowGrowth"      # lam**2 < b*b_star/(a*a_star)
+    HIGH = "HighGrowth"    # lam**2 > b*b_star/(a*a_star)
+    CRITICAL = "Critical"  # equal within tolerance
+
+
+class Band(str, Enum):
+    LOW = "Low"            # n below both boundaries
+    MEDIUM = "Medium"      # n strictly between the boundaries
+    HIGH = "High"          # n above both boundaries
+    BOUNDARY = "Boundary"  # n within tolerance of a boundary
+
+
+class Behavior(str, Enum):
+    DIVERGES = "DivergesToInfinity"
+    CONSTANT = "ConstantPositive"
+    DECAYS = "DecaysToZero"
+
+
+# Members under module names: an Enum class attribute costs ~0.2 us a lookup on CPython 3.11.
+_CRITICAL, _LOW_GROWTH, _HIGH_GROWTH = GrowthCase.CRITICAL, GrowthCase.LOW, GrowthCase.HIGH
+_LOW, _MEDIUM, _HIGH, _BOUNDARY = Band.LOW, Band.MEDIUM, Band.HIGH, Band.BOUNDARY
+_DIVERGES, _CONSTANT, _DECAYS = Behavior.DIVERGES, Behavior.CONSTANT, Behavior.DECAYS
 
 
 class ScenarioParams(Record):
@@ -59,7 +87,7 @@ class RatioAnalysis(Record):
         g_rate: exact rate (a - a_star)*lam - (b*n - b_star/n) of ln(B/B*).
         f_value: quadratic b*n**2 - (a - a_star)*lam*n - b_star at the
             scenario's n; carries the opposite sign of g_rate (g = -f/n).
-        discriminant: (a - a_star)**2 * lam**2 + 4*b*b_star, > 0; inf if 4*b*b_star overflows.
+        discriminant: (a - a_star)**2 * lam**2 + 4*b*b_star, > 0; inf if a square overflows.
         n_hat: unique positive root of the quadratic, the critical
             inequality separating eventual dominance.
     """
@@ -80,18 +108,14 @@ def _elapsed(params: ScenarioParams, t) -> float:
     return t - params.t0
 
 
-EXPONENT_G = "exponent_g = a * lam - b * n"  # the exponents' names in checked's DomainError
-EXPONENT_G_STAR = "exponent_g_star = a_star * lam - b_star / n"
-
-
 def exponent_g(params: ScenarioParams) -> float:
     """Net exponential rate a*lam - b*n of group G under exponential income, finite."""
-    return checked(params.a * params.lam - params.b * params.n, EXPONENT_G)
+    return checked(_terms(params)[1][3], EXPONENT_G)
 
 
 def exponent_g_star(params: ScenarioParams) -> float:
     """Net exponential rate a_star*lam - b_star/n of the favored group, finite."""
-    return checked(params.a_star * params.lam - params.b_star / params.n, EXPONENT_G_STAR)
+    return checked(_terms(params)[1][4], EXPONENT_G_STAR)
 
 
 _NORMAL = sys.float_info.min  # the smallest normal float
@@ -211,36 +235,87 @@ def general_wellbeing(
     return grown(B0, a * (math.log(p_end) - math.log(p_start)) - b * integral, "B", t)
 
 
-def sign_quadratic(a: float, a_star: float, b: float, b_star: float, lam: float,
-                   n: float) -> tuple[float, float, float]:
-    """(gap, f, gap**2), gap = (a - a_star)*lam and f = b*n**2 - gap*n - b_star the sign quadratic
-    at n, for ratio_analysis and sweep rows. DomainError: n, then gap, overflows squared, then f."""
-    gap = (a - a_star) * lam
-    f, gap_squared = b * squared(n, "n") - gap * n - b_star, squared(gap, "(a - a_star) * lam")
-    if not math.isfinite(f):  # a finite f pays no call
-        checked(f, "f_value = b * n**2 - (a - a_star) * lam * n - b_star")
-    return gap, f, gap_squared
+EXPONENT_G = "exponent_g = a * lam - b * n"  # the names in n_terms' DomainErrors
+EXPONENT_G_STAR = "exponent_g_star = a_star * lam - b_star / n"
 
 
-def ratio_terms(a: float, a_star: float, b: float, b_star: float, lam: float,
-                n: float) -> tuple[float, float, float, float]:
-    """The fields of RatioAnalysis, (g_rate, f_value, discriminant, n_hat), as plain floats."""
-    gap_term, f_value, gap_squared = sign_quadratic(a, a_star, b, b_star, lam, n)
-    g_rate = gap_term - (b * n - b_star / n)
-    discriminant = gap_squared + 4.0 * b * b_star
+def n_free_terms(a: float, a_star: float, b: float, b_star: float, lam: float,
+                 epsilon: float | None = None) -> tuple:
+    """(growth case, boundary_g = a*lam/b, boundary_g_star = b_star/(a_star*lam), gap =
+    (a - a_star)*lam, discriminant = gap**2 + 4*b*b_star, inf when a square overflows, n_hat
+    the positive root of b*n**2 - gap*n - b_star, a*lam, a_star*lam). With epsilon None (else
+    a checked tolerance) the first three are None and nothing raises; else DomainError when
+    a_star*lam underflows to 0, lam**2 overflows, a*a_star underflows to 0, in that order."""
+    growth, growth_star, gap = a * lam, a_star * lam, (a - a_star) * lam
+    try:
+        discriminant = gap**2 + 4.0 * b * b_star
+    except OverflowError:
+        discriminant = math.inf
     root = math.sqrt(discriminant)  # n_hat's second form: the same root, without cancellation
-    n_hat = (gap_term + root) / (2.0 * b) if gap_term >= 0.0 else 2.0 * b_star / (root - gap_term)
-    if root == math.inf:  # 4*b*b_star overflows: the same two forms on half the gap and root
-        half, root = 0.5 * gap_term, math.hypot(0.5 * gap_term, math.sqrt(b) * math.sqrt(b_star))
+    n_hat = (gap + root) / (2.0 * b) if gap >= 0.0 else 2.0 * b_star / (root - gap)
+    if root == math.inf:  # a square overflows: the same two forms on half the gap and root
+        half, root = 0.5 * gap, math.hypot(0.5 * gap, math.sqrt(b) * math.sqrt(b_star))
         n_hat = (half + root) / b if half >= 0.0 else b_star / (root - half)
-    return g_rate, f_value, discriminant, n_hat
+    if epsilon is None:
+        return None, None, None, gap, discriminant, n_hat, growth, growth_star
+    try:  # each step in the order of the errors
+        boundary_g_star = b_star / growth_star
+        lhs, rhs = squared(lam, "lam"), (b * b_star) / (a * a_star)
+    except ZeroDivisionError:  # a_star*lam, else a*a_star, underflowed to 0
+        label, x, y = ("a * a_star", a, a_star) if growth_star else ("a_star * lam", a_star, lam)
+        raise DomainError(f"{label} = {x!r} * {y!r} underflows to 0; cannot classify") from None
+    case = (_CRITICAL if isclose(lhs, rhs, rel_tol=epsilon)
+            else _LOW_GROWTH if lhs < rhs else _HIGH_GROWTH)
+    return case, growth / b, boundary_g_star, gap, discriminant, n_hat, growth, growth_star
+
+
+def n_terms(free: tuple, b: float, b_star: float, n: float,
+            epsilon: float | None = None) -> tuple:
+    """From n_free_terms' result free: (behavior_g, behavior_g_star, band, exponent_g =
+    a*lam - b*n, exponent_g_star = a_star*lam - b_star/n, f_value = b*n**2 - gap*n - b_star,
+    g_rate = gap - (b*n - b_star/n)). With epsilon None the first three are None and nothing
+    raises (f_value is inf when n**2 overflows); else DomainError when an exponent is past
+    the float range, n**2 overflows, gap**2 overflows, f_value is non-finite, in that order."""
+    gap, discriminant, _, growth, growth_star = free[3:]
+    loss, loss_star = b * n, b_star / n
+    exponent, exponent_star = growth - loss, growth_star - loss_star
+    try:
+        n_squared = n**2
+    except OverflowError:
+        n_squared = math.inf
+    f_value, g_rate = b * n_squared - gap * n - b_star, gap - (loss - loss_star)
+    if epsilon is None:
+        return None, None, None, exponent, exponent_star, f_value, g_rate
+    behavior_g = (_CONSTANT if isclose(growth, loss, rel_tol=epsilon)
+                  else _DIVERGES if growth > loss else _DECAYS)
+    behavior_g_star = (_CONSTANT if isclose(growth_star, loss_star, rel_tol=epsilon)
+                       else _DIVERGES if growth_star > loss_star else _DECAYS)
+    # n < boundary_g exactly when G diverges, n > boundary_g_star when G* does: the band.
+    band = (_BOUNDARY if behavior_g is _CONSTANT or behavior_g_star is _CONSTANT
+            else _MEDIUM if behavior_g is behavior_g_star
+            else _LOW if behavior_g is _DIVERGES else _HIGH)
+    # A sweep row pays no call unless a number fails or 4*b*b_star overflows.
+    if not (isfinite(exponent) and isfinite(exponent_star) and isfinite(f_value)
+            and discriminant < math.inf):
+        checked(exponent, EXPONENT_G)
+        checked(exponent_star, EXPONENT_G_STAR)
+        squared(n, "n")
+        squared(gap, "(a - a_star) * lam")
+        checked(f_value, "f_value = b * n**2 - (a - a_star) * lam * n - b_star")
+    return behavior_g, behavior_g_star, band, exponent, exponent_star, f_value, g_rate
+
+
+def _terms(p: ScenarioParams) -> tuple:
+    """Both kernels' results without labels or checks."""
+    free = n_free_terms(p.a, p.a_star, p.b, p.b_star, p.lam)
+    return free, n_terms(free, p.b, p.b_star, p.n)
 
 
 def ratio_analysis(params: ScenarioParams) -> RatioAnalysis:
-    """Exact ratio rate, sign quadratic, discriminant, and root n_hat (RatioAnalysis says
-    why each exists) from ratio_terms. DomainError when n or (a - a_star)*lam overflows squared."""
-    p = params
-    return RatioAnalysis(*ratio_terms(p.a, p.a_star, p.b, p.b_star, p.lam, p.n))
+    """RatioAnalysis's fields (it says why each exists) from the two kernels without labels.
+    DomainError when g_rate, f_value or n_hat is non-finite (f_value is if n**2 overflows)."""
+    free, terms = _terms(params)
+    return RatioAnalysis(terms[6], terms[5], free[4], free[5])
 
 
 def wellbeing_ratio(params: ScenarioParams, t) -> float:

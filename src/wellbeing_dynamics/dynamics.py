@@ -350,8 +350,9 @@ def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record, n
         end = t + h
         if end > node - h_min:
             wanted, h, end = h, node - t, node
-        elif h < h_min:
-            raise IntegrationError(f"adaptive step underflow at t = {t} (h = {h})",
+        elif h < h_min:  # with the rates and incomes at t, where an income may vanish
+            raise IntegrationError("adaptive step underflow at t = %r (h = %r): c_B = %.12g, c_S = "
+                                   "%.12g, p = %.12g, q = %.12g" % (t, h, *coefficients(t)),
                                    last_time=t, last_state=(B, S))
         s0 = coefficients(t + c0 * h)
         k0B, k0S = s0[0] * B, s0[1] * S

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 from wellbeing_dynamics import ScenarioParams, cli
@@ -95,3 +96,12 @@ def draw_case_params(rng: random.Random, case: str, **kwargs) -> ScenarioParams:
     else:
         raise ValueError(f"case must be 'low' or 'high', got {case!r}")
     return base._replace(lam=critical * factor)
+
+
+def exact_n_hat(a, a_star, b, b_star, lam):
+    """n_hat to 60 digits from the float gap (a - a_star)*lam, as the n-free kernel takes it."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        gap, b, b_star = Decimal((a - a_star) * lam), Decimal(b), Decimal(b_star)
+        root = (gap * gap + 4 * b * b_star).sqrt()
+        return float(2 * b_star / (root - gap) if gap < 0 else (gap + root) / (2 * b))

@@ -486,7 +486,7 @@ class TestSweep:
         assert calls == ([], [])
 
     def test_no_classify_per_row(self, scenario, tmp_path, monkeypatch):
-        # Rows take their labels from coefficient_labels; no RegimeReport is built.
+        # Rows take their labels from core's two kernels; no RegimeReport is built.
         calls = count_calls(monkeypatch, (regime, cli), "classify")
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--scenario", scenario, "--vary", "n=0.1:10:0.1",
@@ -654,17 +654,22 @@ class TestSweepRowsMatchClassify:
         assert table == _reference_sweep(params, vary, eps, _oracle_labels)[2]
 
 
+def _kernels(p, eps):
+    """Both of core's kernels on one ScenarioParams, with labels and checks."""
+    free = core.n_free_terms(p.a, p.a_star, p.b, p.b_star, p.lam, eps)
+    return free, core.n_terms(free, p.b, p.b_star, p.n, eps)
+
+
 def _regime_labels(p, eps):
-    """Growth case, band and behaviors from regime.coefficient_labels, as strings."""
-    case, _, _, band, g, g_star = regime.coefficient_labels(
-        p.a, p.a_star, p.b, p.b_star, p.lam, p.n, eps)[:6]
-    return case.value, band.value, g.value, g_star.value
+    """Growth case, band and behaviors from core's two kernels, as strings."""
+    free, (g, g_star, band, *_) = _kernels(p, eps)
+    return free[0].value, band.value, g.value, g_star.value
 
 
 def _reference_sweep(params, vary, eps, labels=_regime_labels):
     """(exit code, stderr, table or None) of the per-row chain sweep rows
-    ran before they became one pass on floats: with_param, labels,
-    sign_quadratic and the exponents, all on a ScenarioParams per row."""
+    ran before they became one pass on floats: with_param, labels, both
+    kernels for f_value and the exponents, all on a ScenarioParams per row."""
     spec = parse_sweep(vary)
     rows = ["value,exponent_g,exponent_g_star,f_value,band,behavior_g,behavior_g_star,growth_case"]
     stderr, skipped = [], []
@@ -677,7 +682,7 @@ def _reference_sweep(params, vary, eps, labels=_regime_labels):
             continue
         try:
             case, band, g, g_star = labels(p, eps)
-            f_value = core.sign_quadratic(p.a, p.a_star, p.b, p.b_star, p.lam, p.n)[1]
+            f_value = _kernels(p, eps)[1][5]
         except DomainError as exc:
             return 2, "".join(stderr) + f"error: {exc}\n", None
         rows.append(
@@ -743,6 +748,37 @@ class TestSweepKernel:
         assert (code, stderr, table) == _reference_sweep(params, vary, 1e-9)
         assert code == 2 and table is None
         assert stderr.splitlines()[-1] == error
+
+
+class TestSweepNFreeHalf:
+    """An n grid forms the n-free half once, at its first valid row, so its errors come
+    after the skipped rows' warnings and only when some row is valid."""
+
+    def test_error_waits_for_the_first_valid_row(self, tmp_path):
+        sc = write_scenario(tmp_path / "s.json", **{"lambda": 1e200})
+        out = tmp_path / "out.csv"
+        r = run_cli("sweep", "--scenario", sc, "--vary", "n=-1:1:0.5", "--out", str(out))
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.splitlines() == [
+            "warning: skipped n=-1: n must be > 0, got -1.0",
+            "warning: skipped n=-0.5: n must be > 0, got -0.5",
+            "warning: skipped n=0: n must be > 0, got 0.0",
+            "error: lam = 1e+200 overflows when squared"]
+        assert not out.exists()
+        r = run_cli("sweep", "--scenario", sc, "--vary", "n=-2:-1:0.5", "--out", str(out))
+        assert (r.returncode, r.stdout, r.stderr.count("warning: skipped")) == (0, "", 3)
+        assert out.read_text().splitlines()[1:] == [
+            "# skipped n=-2: n must be > 0, got -2.0",
+            "# skipped n=-1.5: n must be > 0, got -1.5",
+            "# skipped n=-1: n must be > 0, got -1.0"]
+
+    @pytest.mark.parametrize("vary,calls", [("n=-0.2:10:0.1", 1), ("lambda=0.01:0.1:0.01", 10)])
+    def test_once_per_n_grid(self, scenario, tmp_path, monkeypatch, vary, calls):
+        # A deterministic work counter: n_free_terms calls through cli's binding.
+        free = count_calls(monkeypatch, (cli,), "n_free_terms")
+        assert cli.main(["sweep", "--scenario", scenario, "--vary", vary,
+                         "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(free) == calls
 
 
 # "inf" or "nan" as a token: "dominance" holds "nan", "DivergesToInfinity" holds "Inf".
@@ -961,6 +997,28 @@ class TestDeterminism:
 
 
 class TestArgumentErrors:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "SCENARIO", "--t-end", "-inf", "--out", "OUT"],
+        ["simulate", "--scenario", "SCENARIO", "--t-end", "-NaN", "--out", "OUT"],
+        ["classify", "--scenario", "SCENARIO", "--tolerance", "-nan"],
+        ["classify", "--scenario", "SCENARIO", "--tolerance", "-Infinity"],
+        ["calibrate", "--series", "SERIES", "--write-scenario", "OUT", "--n", "-inf"],
+    ], ids=["t-end -inf", "t-end -NaN", "tolerance -nan", "tolerance -Infinity", "n -inf"])
+    def test_negative_non_finite_value_after_a_space(self, scenario, gdp, tmp_path, argv):
+        # argparse reads "-inf" as an option; main joins it to its flag, so the value reaches
+        # the flag's check and prints what the "=" form prints.
+        out = tmp_path / "out"
+        argv = [{"SCENARIO": scenario, "SERIES": gdp, "OUT": str(out)}.get(arg, arg)
+                for arg in argv]
+        spaced = run_cli(*argv)
+        joined = run_cli(*argv[:-2], f"{argv[-2]}={argv[-1]}")
+        assert spaced.returncode == joined.returncode == 2
+        assert spaced.stdout == joined.stdout == ""
+        assert spaced.stderr == joined.stderr
+        assert re.fullmatch(r"error: (--t-end|--tolerance|n) must be finite, got (-inf|nan)\n",
+                            spaced.stderr)
+        assert not out.exists()
+
     def test_no_command_exits_2(self):
         assert run_cli().returncode == 2
 

@@ -23,7 +23,7 @@ from wellbeing_dynamics import (
     ratio_analysis,
     wellbeing_ratio,
 )
-from wellbeing_dynamics.core import closed_form_columns, ratio_terms
+from wellbeing_dynamics.core import closed_form_columns, n_free_terms, n_terms
 from wellbeing_dynamics.errors import NumericError
 from conftest import draw_params, uniform
 
@@ -392,8 +392,9 @@ class TestRatioAnalysis:
         rng = random.Random(29)
         for _ in range(500):
             p = draw_params(rng, n=(0.05, 8.0))
-            terms = ratio_terms(p.a, p.a_star, p.b, p.b_star, p.lam, p.n)
-            assert terms == ratio_analysis(p)._astuple()
+            free = n_free_terms(p.a, p.a_star, p.b, p.b_star, p.lam)
+            f_value, g_rate = n_terms(free, p.b, p.b_star, p.n)[5:]
+            assert (g_rate, f_value, *free[4:6]) == ratio_analysis(p)._astuple()
 
 
 class TestWellbeingRatio:

@@ -845,6 +845,21 @@ class TestAdaptiveIntegrate:
         assert exc_info.value.last_time == HIGH.t0
         assert exc_info.value.last_state == (HIGH.B0, HIGH.B0_star)
 
+    def test_step_underflow_names_a_vanishing_income(self):
+        # p = 1 - t reaches 0 at t = 1, where c_B = a*p'/p - b*q/p diverges: the controller
+        # shrinks h to the floor, and the message shows p near 0 with both rates.
+        p = LinearIncome(1.0, -1.0)
+        params = ScenarioParams(a=0.01, a_star=0.01, b=0.05, b_star=0.05, lam=0.1, n=1.5,
+                                B0=1.0, B0_star=1.0, p0=1.0)
+        with pytest.raises(IntegrationError) as exc_info:
+            integrate(p, p.scaled(1.5), params, 2.0, method="rkf45", step=0.1)
+        assert str(exc_info.value) == (
+            "adaptive step underflow at t = 0.9999999999997399 (h = 1.9519649508218355e-14): "
+            "c_B = -38443018586.3, c_S = -38448488566.1, p = 2.6012525467e-13, "
+            "q = 3.90132370853e-13")
+        assert exc_info.value.last_time == 0.9999999999997399
+        assert exc_info.value.last_state == (0.694350495281608, 0.723892911096566)
+
     @pytest.mark.parametrize("method,t_named", [("rk4", "354.55"), ("rkf45", "354.8")])
     def test_income_derivative_overflow_names_t(self, method, t_named):
         # p(354.8) = 1.497e308 is finite, but p' = 2p is inf from t = 354.5448 on. RKF45's error

@@ -7,7 +7,6 @@ from __future__ import annotations
 import ast
 import json
 import math
-from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -18,8 +17,8 @@ from wellbeing_dynamics import (ExponentialIncome, ScenarioParams, classify, clo
 from wellbeing_dynamics import cli
 from wellbeing_dynamics.errors import (DomainError, IntegrationError, NumericError,
                                        QuadratureError, WellbeingError)
-from wellbeing_dynamics.regime import coefficient_labels
-from conftest import SRC, run_cli
+from wellbeing_dynamics.core import n_free_terms, n_terms
+from conftest import SRC, exact_n_hat, run_cli
 
 HIGH = Path(__file__).parent / "golden" / "inputs" / "high.json"
 
@@ -34,6 +33,11 @@ def gap_ratio_overflow():
     # q/p = 1e310 leaves the float range while both incomes are finite.
     p, q = ExponentialIncome(p0=1e-300, rate=0.0), ExponentialIncome(p0=1e10, rate=0.0)
     general_wellbeing(p, q, a=1.0, b=0.05, B0=1.0, t0=0.0, t=1.0)
+
+
+def labels(a, a_star, b, b_star, lam, n, epsilon=1e-9):
+    """Both kernels with labels and checks, as classify and sweep rows run them."""
+    return n_terms(n_free_terms(a, a_star, b, b_star, lam, epsilon), b, b_star, n, epsilon)
 
 
 class TestNumericError:
@@ -136,17 +140,18 @@ class TestExponentPastTheFloatRange:
         # a * lam and b * n both overflow: exponent_g is inf - inf = nan.
         with pytest.raises(DomainError, match=r"^exponent_g = a \* lam - b \* n must be finite, "
                                               r"got nan$"):
-            coefficient_labels(1e300, 1.0, 1e300, 1.0, 1e10, 1e10, 1e-9)
+            labels(1e300, 1.0, 1e300, 1.0, 1e10, 1e10)
         with pytest.raises(DomainError, match=r"^exponent_g = .* got inf$"):
-            coefficient_labels(1e300, 1.0, 1.0, 1.0, 1e10, 1.0, 1e-9)
+            labels(1e300, 1.0, 1.0, 1.0, 1e10, 1.0)
 
     def test_library_classify_family_refuses(self):
         p = ScenarioParams(a=1.0, a_star=1.0, b=0.05, b_star=1e10, lam=0.1, n=1e-300,
                            B0=1.0, B0_star=1.0, p0=2.0)
-        for call in (classify, verify_nhat_bracketing):
-            with pytest.raises(DomainError) as exc_info:
-                call(p)
-            assert str(exc_info.value) == self.G_STAR
+        with pytest.raises(DomainError) as exc_info:
+            classify(p)
+        assert str(exc_info.value) == self.G_STAR
+        # The bracketing check reads no n, so b_star/n past the float range does not reach it.
+        assert verify_nhat_bracketing(p) == verify_nhat_bracketing(p._replace(n=1.5))
 
     @pytest.mark.parametrize("method", ["rk4", "rkf45"])
     def test_integrate_refuses_before_any_step(self, method, monkeypatch):
@@ -222,15 +227,6 @@ class TestExponentsCheckThemselves:
             core.grown(1.0, math.nan, "B", 3.0)
 
 
-def exact_n_hat(a, a_star, b, b_star, lam):
-    """n_hat to 60 digits from the float gap (a - a_star)*lam, as ratio_terms takes it."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        gap, b, b_star = Decimal((a - a_star) * lam), Decimal(b), Decimal(b_star)
-        root = (gap * gap + 4 * b * b_star).sqrt()
-        return float(2 * b_star / (root - gap) if gap < 0 else (gap + root) / (2 * b))
-
-
 class TestNhatWhenTheDiscriminantOverflows:
     """4*b*b_star past the float range makes the discriminant inf; n_hat still fits and is
     computed from half the gap and half the root."""
@@ -240,7 +236,7 @@ class TestNhatWhenTheDiscriminantOverflows:
     @pytest.mark.parametrize("a,a_star", [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0),
                                           (1e151, 1.0), (1.0, 1e151)])
     def test_n_hat_is_exact_to_a_few_ulps(self, a, a_star, b, b_star):
-        g_rate, f_value, discriminant, n_hat = core.ratio_terms(a, a_star, b, b_star, 0.1, 1.0)
+        n_hat = n_free_terms(a, a_star, b, b_star, 0.1)[5]
         assert math.isfinite(n_hat) and n_hat > 0.0
         assert n_hat == pytest.approx(exact_n_hat(a, a_star, b, b_star, 0.1), rel=1e-15)
 
@@ -262,15 +258,15 @@ F_VALUE = "f_value = b * n**2 - (a - a_star) * lam * n - b_star must be finite, 
 
 class TestPrintedNumbersAreFinite:
     """classify and sweep refuse a number that would print as inf where it is made: f_value in
-    sign_quadratic, the report's floats in RegimeReport, crossover_time in classify."""
+    n_terms, the report's floats in RegimeReport, crossover_time in classify."""
 
     def test_sign_quadratic_refuses_f_after_the_squares(self):
         with pytest.raises(DomainError) as exc_info:
-            core.sign_quadratic(1.0, 1.0, 1e10, 0.05, 0.1, 1e150)
+            labels(1.0, 1.0, 1e10, 0.05, 0.1, 1e150)
         assert str(exc_info.value) == F_VALUE
         # Both n**2 and f overflow: the square is named first, as before.
         with pytest.raises(DomainError, match=r"^n = 1e\+155 overflows when squared$"):
-            core.sign_quadratic(1.0, 1.0, 1e10, 0.05, 0.1, 1e155)
+            labels(1.0, 1.0, 1e10, 0.05, 0.1, 1e155)
 
     @pytest.mark.parametrize("argv", [
         ["classify"],

@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 import random
 import re
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +29,9 @@ from wellbeing_dynamics import (
     wellbeing_ratio,
 )
 from wellbeing_dynamics import errors, regime
-from wellbeing_dynamics.regime import coefficient_labels
-from conftest import draw_case_params, draw_params, uniform
+from wellbeing_dynamics.core import n_free_terms, n_terms
+from wellbeing_dynamics.scenario import parse_sweep, scenario_text
+from conftest import draw_case_params, draw_params, exact_n_hat, run_cli, uniform
 
 LOW = ScenarioParams(a=1.0, a_star=1.0, b=0.2, b_star=0.2, lam=0.1,
                      n=1.0, B0=1.0, B0_star=1.0, p0=1.0)
@@ -383,14 +387,16 @@ class TestRegimeLabels:
     def test_labels_are_classify_fields(self, drawn):
         p, epsilon = drawn
         r = classify(p, epsilon)
-        labels = coefficient_labels(p.a, p.a_star, p.b, p.b_star, p.lam, p.n, epsilon)
-        assert labels[:6] == (
+        free = n_free_terms(p.a, p.a_star, p.b, p.b_star, p.lam, epsilon)
+        labels = n_terms(free, p.b, p.b_star, p.n, epsilon)
+        assert free[:3] + labels[:3] == (
             r.growth_case, r.boundary_g, r.boundary_g_star,
-            r.band, r.behavior_g, r.behavior_g_star,
+            r.behavior_g, r.behavior_g_star, r.band,
         )
-        # Sweep rows print these exponents and classify core's: the same bits.
-        exponents = labels[6:]
+        # Sweep rows and classify print these exponents, and core's are the same bits.
+        exponents = labels[3:5]
         assert [x.hex() for x in exponents] == [exponent_g(p).hex(), exponent_g_star(p).hex()]
+        assert exponents == (r.exponent_g, r.exponent_g_star)
 
     @given(labelled_params(), st.floats(0.0, 4.0) | st.just(1.0), st.integers(-4, 4))
     @settings(max_examples=300)
@@ -418,12 +424,36 @@ class TestRegimeLabels:
     ])
     def test_underflowed_product_named(self, fields, product):
         p = HIGH._replace(**fields)
-        calls = [classify, verify_nhat_bracketing]
-        if product == "a * a_star":  # growth_case forms no boundary
-            calls.append(growth_case)
-        for call in calls:
+        for call in (classify, verify_nhat_bracketing, growth_case):  # one n-free kernel
             with pytest.raises(DomainError, match=rf"^{re.escape(product)} = .* underflows to 0"):
                 call(p)
+
+
+class TestNFreeResults:
+    """growth_case and verify_nhat_bracketing read the n-free kernel alone."""
+
+    @pytest.mark.parametrize("n", [1e-310, 1e200, 1.7e308])
+    def test_bracketing_and_growth_case_read_no_n(self, n):
+        # n = 1e200 overflows when squared, and b_star/n or b*n past the float range refuse
+        # classify; none of that reaches a result that does not depend on n.
+        p = HIGH._replace(n=n)
+        assert verify_nhat_bracketing(p) == verify_nhat_bracketing(HIGH)
+        assert growth_case(p) is growth_case(HIGH) is GrowthCase.HIGH
+        with pytest.raises(DomainError):
+            classify(p)
+
+    @pytest.mark.parametrize("product,fields", [
+        ("a * lam", {"a": 1e200, "lam": 1e150, "b": 1e300}),
+        ("a_star * lam", {"a_star": 1e200, "lam": 1e150, "b_star": 1e300}),
+    ])
+    def test_bracketing_refuses_an_overflowed_growth_product(self, product, fields):
+        # The product past the float range would give a boundary of inf or 0 where exactly it
+        # is 1e50 or 1e-50; classify refuses the same input through its exponent, for every n.
+        p = HIGH._replace(**fields)
+        with pytest.raises(DomainError, match=rf"^{re.escape(product)} must be finite, got inf$"):
+            verify_nhat_bracketing(p)
+        with pytest.raises(DomainError, match=r"^exponent_g(_star)? = .* must be finite"):
+            classify(p)
 
 
 PUBLIC = (classify, growth_case, verify_nhat_bracketing)
@@ -533,3 +563,77 @@ class TestTimeTranslation:
             shift = rng.choice([-1.0, 1.0]) * 10.0 ** uniform(rng, -300.0, 300.0)
             assert classify(params._replace(t0=params.t0 + shift)) == classify(params)
             assert classify(params._replace(t0=-0.0)) == classify(params)
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _near_tie(x: Fraction, y: Fraction, epsilon: float) -> bool:
+    """x and y within 4 epsilon of each other, relative to the larger: a float route may call
+    them equal (Constant, Critical) or order them either way."""
+    return abs(x - y) <= 4 * Fraction(epsilon) * max(abs(x), abs(y))
+
+
+def exact_labels(p: ScenarioParams, epsilon: float):
+    """(growth case, behavior_g, behavior_g_star, band, sign of f(n)) decided on the exact
+    rationals of p's floats, or None within 4 epsilon of a tie."""
+    a, a_star, b, b_star, lam, n = map(Fraction, (p.a, p.a_star, p.b, p.b_star, p.lam, p.n))
+    gap = (a - a_star) * lam
+    pairs = [(lam * lam * a * a_star, b * b_star), (a * lam, b * n), (a_star * lam, b_star / n),
+             (b * n * n, gap * n + b_star)]
+    if any(_near_tie(x, y, epsilon) for x, y in pairs):
+        return None
+    case, g, g_star, f = (_sign(x - y) for x, y in pairs)
+    behaviors = {1: Behavior.DIVERGES, -1: Behavior.DECAYS}
+    band = Band.MEDIUM if g == g_star else Band.LOW if g > 0 else Band.HIGH
+    return ({1: GrowthCase.HIGH, -1: GrowthCase.LOW}[case], behaviors[g], behaviors[g_star],
+            band, f)
+
+
+#: m * 10**k with m in [1, 10) and |k| <= 75: every product the labels form is a normal float.
+normal_coefficient = st.builds(lambda m, k: m * 10.0**k,
+                               st.floats(1.0, 10.0, exclude_max=True), st.integers(-75, 75))
+
+
+class TestExactLabelOracle:
+    """classify and sweep rows against labels decided in exact rationals, over the range
+    where every product the labels form is a normal float."""
+
+    @given(st.builds(ScenarioParams, a=normal_coefficient, a_star=normal_coefficient,
+                     b=normal_coefficient, b_star=normal_coefficient, lam=normal_coefficient,
+                     n=normal_coefficient, B0=st.just(1.0), B0_star=st.just(1.0),
+                     p0=st.just(1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_classify_and_sweep_rows_agree_with_exact_labels(self, p):
+        epsilon = regime.DEFAULT_EPSILON
+        r = classify(p, epsilon)
+        want = exact_labels(p, epsilon)
+        if want is not None:
+            case, g, g_star, band, f = want
+            assert (r.growth_case, r.behavior_g, r.behavior_g_star, r.band) == (
+                case, g, g_star, band)
+            assert (r.f_value > 0) - (r.f_value < 0) == f
+        a, a_star, b, b_star, lam = map(Fraction, (p.a, p.a_star, p.b, p.b_star, p.lam))
+        assert math.isclose(r.boundary_g, a * lam / b, rel_tol=1e-12)
+        assert math.isclose(r.boundary_g_star, b_star / (a_star * lam), rel_tol=1e-12)
+        assert math.isclose(r.n_hat, exact_n_hat(p.a, p.a_star, p.b, p.b_star, p.lam),
+                            rel_tol=1e-12)
+        # Sweep rows over n, 1.5 n and 2 n: each row's labels and sign of f.
+        vary = f"n={p.n!r}:{2.0 * p.n!r}:{0.5 * p.n!r}"
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario, out = Path(tmp, "s.json"), Path(tmp, "out.csv")
+            scenario.write_text(scenario_text(p))
+            code = run_cli("sweep", "--scenario", str(scenario), "--vary", vary, "--tolerance",
+                           repr(epsilon), "--out", str(out)).returncode
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert code == 0
+        grid = parse_sweep(vary).grid()
+        assert len(rows) == len(grid)
+        for n, row in zip(grid, rows):
+            want = exact_labels(p._replace(n=n), epsilon)
+            if want is None:
+                continue
+            case, g, g_star, band, f = want
+            assert row[4:] == [band.value, g.value, g_star.value, case.value]
+            assert (float(row[3]) > 0) - (float(row[3]) < 0) == f
