@@ -160,10 +160,10 @@ def closed_form_B_star(params: ScenarioParams, t) -> float:
 
 def closed_form_columns(params: ScenarioParams, times) -> tuple[list[float], list[float]]:
     """([closed_form_B(params, t) for t in times], the same for B_star) bit for bit, with the same
-    first error, for float times: one exponent each, grown's fast path inline, else the scalar."""
+    first error, for float times: one exponent each, grown's fast path inline, else grown."""
     columns, t0, exp, inf = [], params.t0, math.exp, math.inf
-    for level, rate, scalar in ((params.B0, exponent_g(params), closed_form_B),
-                                (params.B0_star, exponent_g_star(params), closed_form_B_star)):
+    for level, rate, name in ((params.B0, exponent_g(params), "B"),
+                              (params.B0_star, exponent_g_star(params), "B_star")):
         columns.append(column := [])
         for t in times:
             if ((elapsed := t - t0) >= 0.0 and (log_growth := rate * elapsed) < 709.78
@@ -171,7 +171,7 @@ def closed_form_columns(params: ScenarioParams, times) -> tuple[list[float], lis
                     and _NORMAL <= (value := factor * level) < inf):
                 column.append(value)
             else:  # log space, or the error the scalar form raises
-                column.append(scalar(params, t))
+                column.append(grown(level, rate * _elapsed(params, t), name, t))
     return columns[0], columns[1]
 
 
@@ -319,6 +319,6 @@ def ratio_analysis(params: ScenarioParams) -> RatioAnalysis:
 
 
 def wellbeing_ratio(params: ScenarioParams, t) -> float:
-    """Ratio B(t)/B*(t) from the exact rate, without forming B and B*."""
-    g_rate = ratio_analysis(params).g_rate
+    """Ratio B(t)/B*(t) from the exact rate g_rate (refused if non-finite), without B and B*."""
+    g_rate = checked(_terms(params)[1][6], "g_rate")
     return grown(params.B0, g_rate * _elapsed(params, t), "B/B_star", t, params.B0_star)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -21,8 +22,10 @@ from wellbeing_dynamics import (
     exponent_g_star,
     general_wellbeing,
     ratio_analysis,
+    time_grid,
     wellbeing_ratio,
 )
+from wellbeing_dynamics import core
 from wellbeing_dynamics.core import closed_form_columns, n_free_terms, n_terms
 from wellbeing_dynamics.errors import NumericError
 from conftest import draw_params, uniform
@@ -234,6 +237,29 @@ class TestClosedFormColumns:
     def test_no_times(self):
         assert closed_form_columns(HIGH, []) == ([], [])
 
+    def test_one_kernel_pass_per_column(self, monkeypatch):
+        # The log-space rows of test_log_space_rows reuse their column's exponent: one
+        # n_free_terms call for B's and one for B_star's, however many rows leave the fast path.
+        p = HIGH._replace(n=3.0, B0=1e300, B0_star=1e-300)
+        times = [100.0 * k for k in range(150)] + [14150.0, 14800.0, 15000.0]
+        want = per_time_columns(p, times)
+        assert sum(math.exp(exponent_g(p) * t) < sys.float_info.min for t in times) >= 5
+        calls = []
+        monkeypatch.setattr(core, "n_free_terms",
+                            lambda *args: calls.append(args) or n_free_terms(*args))
+        assert closed_form_columns(p, times) == want
+        assert len(calls) == 2
+
+    # A decaying scenario to t = 5000 at step 0.01: exp(exponent_g * t) falls below the normal
+    # floats from t = 595.3 on, so 440,471 of B's 500,001 rows leave the fast path.
+    LONG_RUN = ScenarioParams(a=0.5, a_star=1.0, b=0.3, b_star=0.05, lam=0.02, n=4.0,
+                              B0=1.0, B0_star=1.0, p0=1.0, t0=0.0)
+
+    @pytest.mark.parametrize("levels", [{}, {"B0": 1e300, "B0_star": 1e-300}],
+                             ids=["unit levels", "extreme levels"])
+    def test_long_run_grid(self, levels):
+        self.assert_same(self.LONG_RUN._replace(**levels), time_grid(0.0, 5000.0, 0.01))
+
 
 class TestGeneralWellbeing:
     def test_matches_exponential_closed_form(self):
@@ -434,6 +460,14 @@ class TestWellbeingRatio:
         # Rate is exactly -(3/40 - 1/30) = -1/24; over 10 years e^(-5/12).
         oracle = float(mp.e ** (mp.mpf(-5) / 12))
         assert math.isclose(wellbeing_ratio(HIGH, 10.0), oracle, rel_tol=1e-12)
+
+    def test_rate_without_the_square_of_n(self):
+        # n**2 = 1e400 overflows, so ratio_analysis refuses f_value; g_rate = -5e198 does not
+        # use it, and B/B_star at t = 1 is exp(-5e198) = 0.0.
+        p = HIGH._replace(n=1e200)
+        with pytest.raises(DomainError, match=r"^f_value must be finite, got inf$"):
+            ratio_analysis(p)
+        assert wellbeing_ratio(p, 1.0) == 0.0
 
     def test_matches_closed_form_quotient(self):
         rng = random.Random(41)

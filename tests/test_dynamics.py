@@ -900,6 +900,84 @@ class TestTheoremBeyondExponentialIncome:
         assert B[times.index(690.0)] > 0.0
         assert B[-1] == 0.0
 
+    # The same claim as an exact statement about every scenario pair q = n*p: with the window's
+    # mean log-growth lam_bar = ln(p(t)/p(t0))/(t - t0), ln(B(t)/B0) = (a*lam_bar - b*n)*(t - t0)
+    # and ln(B*(t)/B0*) = (a_star*lam_bar - b_star/n)*(t - t0). So G loses over [t0, t] exactly
+    # when n > a*lam_bar/b, and G* exactly when n < b_star/(a_star*lam_bar), always if
+    # lam_bar <= 0. n stays a factor MARGIN from both boundaries, so each exact log is at least
+    # min(b*n, b_star/n)*(1 - 1/MARGIN)*(t - t0) >= 9.5e-5 from 0, above every path's bound.
+    MARGIN, RATE, STEP = 1.05, 0.25, 0.05  # RATE bounds |p'/p| on every drawn income
+
+    @staticmethod
+    def window_income(rng, kind, t0, t_end):
+        """An income of the given model on [t0, t_end] with |p'/p| <= RATE there."""
+        level = uniform(rng, 0.5, 10.0)
+        if kind == "exponential":  # anchored at 0, not at t0
+            return ExponentialIncome(level, uniform(rng, -0.2, 0.2))
+        if kind == "linear":  # p'/p = slope/p stays within [-0.2, 0.2] while p >= level/2
+            return LinearIncome(level, level * uniform(rng, -0.1, 0.2), t0)
+        spacing = uniform(rng, 0.3, 1.5)
+        start = t0 - uniform(rng, 0.0, spacing)
+        points, log_p = [], math.log(level)
+        for k in range(int((t_end - start) / spacing) + 2):
+            points.append((start + k * spacing, math.exp(log_p)))
+            log_p += uniform(rng, -0.1, 0.2) * spacing
+        return TabulatedIncome(tuple(points))
+
+    @classmethod
+    def n_away_from(cls, rng, boundaries):
+        """n in [0.1, 10], more than a factor MARGIN from each boundary: a uniform point of a
+        uniformly chosen piece of that range once the windows around the boundaries are cut."""
+        pieces, lo, width = [], math.log(0.1), math.log(cls.MARGIN)
+        for centre in sorted(math.log(x) for x in boundaries):
+            if centre - width > lo:
+                pieces.append((lo, centre - width))
+            lo = max(lo, centre + width)
+        if lo < math.log(10.0):
+            pieces.append((lo, math.log(10.0)))
+        return math.exp(uniform(rng, *rng.choice(pieces)))
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["exponential", "linear", "tabulated"]),
+           side=st.sampled_from([-1.0, 0.0, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_boundaries_decide_who_loses_on_every_income_model(self, seed, kind, side):
+        rng = random.Random(seed)
+        t0 = side * uniform(rng, 0.5, 50.0)
+        span = uniform(rng, 1.0, 5.0)
+        p = self.window_income(rng, kind, t0, t0 + span)
+        log_growth = math.log(p.value(t0 + span) / p.value(t0))
+        lam_bar = log_growth / span
+        drawn = draw_params(rng, t0=t0)  # integrate reads neither lam nor p0
+        a, a_star, b, b_star = drawn.a, drawn.a_star, drawn.b, drawn.b_star
+        boundaries = (a * lam_bar / b, b_star / (a_star * lam_bar)) if lam_bar > 0.0 else ()
+        params = drawn._replace(n=self.n_away_from(rng, boundaries))
+        n, q = params.n, p.scaled(params.n)
+        loses = (n > a * lam_bar / b, lam_bar <= 0.0 or n < b_star / (a_star * lam_bar))
+        exact = (a * log_growth - b * n * span, a_star * log_growth - b_star / n * span)
+        rk4 = integrate(p, q, params, t0 + span, step=self.STEP)
+        rkf45 = integrate(p, q, params, t0 + span, method="rkf45")
+        paths = {
+            "rk4": ((math.log(rk4.B[-1] / params.B0), math.log(rk4.B_star[-1] / params.B0_star)),
+                    # RK4's relative error per step on B' = c*B is |c*h|**5/120 for constant c;
+                    # every derivative of p'/p is bounded by powers of RATE, so (|c| + RATE)**5
+                    # with a factor 10 covers a varying c and the extra steps at table nodes.
+                    [10.0 * span * self.STEP**4 * (x * self.RATE + y + self.RATE) ** 5 / 120.0
+                     for x, y in ((a, b * n), (a_star, b_star / n))]),
+            "rkf45": ((math.log(rkf45.B[-1] / params.B0),
+                       math.log(rkf45.B_star[-1] / params.B0_star)),
+                      [len(rkf45.times) * 1e-8] * 2),  # at most tol per accepted step
+            "general_wellbeing": (
+                (math.log(general_wellbeing(p, q, a, b, params.B0, t0, t0 + span) / params.B0),
+                 math.log(general_wellbeing(q, p, a_star, b_star, params.B0_star, t0, t0 + span)
+                          / params.B0_star)),
+                [1e-9] * 2),  # quad_tol 1e-10 on an integrand q/p = n, times b or b_star <= 0.3
+        }
+        for path, (logs, bounds) in paths.items():
+            for group, log, bound, want, loss in zip(("G", "G*"), logs, bounds, exact, loses):
+                assert abs(want) > 10.0 * bound, (path, group)  # the margin covers the bound
+                assert (log < 0.0) == loss, (path, group, log, want)
+
 
 class TestQuadrature:
     def test_constant_integrand_exact(self):

@@ -212,8 +212,9 @@ class TestExponentsCheckThemselves:
 
     def test_ratio_at_t0_raises_numeric_error(self):
         # b_star/n overflows, so g_rate is inf: refused by name before any time is read.
-        with pytest.raises(DomainError, match=r"^g_rate must be finite, got inf$"):
-            wellbeing_ratio(self.P, 0.0)
+        for t in (0.0, 1.0, math.nan):
+            with pytest.raises(DomainError, match=r"^g_rate must be finite, got inf$"):
+                wellbeing_ratio(self.P, t)
 
     def test_ratio_analysis_refuses_a_non_finite_rate(self):
         with pytest.raises(DomainError, match=r"^g_rate must be finite, got inf$"):
