@@ -34,34 +34,24 @@ def _params_and_tolerance(args: argparse.Namespace) -> tuple[ScenarioParams, flo
     return params, checked_epsilon(args.tolerance, "--tolerance")
 
 
+def _text(value) -> str:
+    """One printed value: a float as %.12g, a label by its value, a flag as true or false,
+    an interval as ]lo, hi[ and a missing one as none."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, tuple):
+        return "]%.12g, %.12g[" % value
+    return "none" if value is None else value.value
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     params, epsilon = _params_and_tolerance(args)
     report = classify(params, epsilon=epsilon)
-    if report.interval_j is None:
-        interval = "none"
-    else:
-        interval = f"]{report.interval_j[0]:.12g}, {report.interval_j[1]:.12g}["
-    lines = [
-        ("n", f"{params.n:.12g}"),
-        ("growth_case", report.growth_case.value),
-        ("boundary_g", f"{report.boundary_g:.12g}"),
-        ("boundary_g_star", f"{report.boundary_g_star:.12g}"),
-        ("band", report.band.value),
-        ("behavior_g", report.behavior_g.value),
-        ("behavior_g_star", report.behavior_g_star.value),
-        ("exponent_g", f"{report.exponent_g:.12g}"),
-        ("exponent_g_star", f"{report.exponent_g_star:.12g}"),
-        ("g_rate", f"{report.g_rate:.12g}"),
-        ("f_value", f"{report.f_value:.12g}"),
-        ("n_hat", f"{report.n_hat:.12g}"),
-        ("dominance", report.dominance.value),
-        ("interval_J", interval),
-        ("roles_reversed", "true" if report.roles_reversed else "false"),
-    ]
-    if report.crossover_time is not None:
-        lines.append(("crossover_time", f"{report.crossover_time:.12g}"))
-    for key, value in lines:
-        print(f"{key}: {value}")
+    for key, value in [("n", params.n), *zip(report._fields, report._astuple())]:
+        if value is not None or key == "interval_j":  # no crossover_time line when it is None
+            print(f"{'interval_J' if key == 'interval_j' else key}: {_text(value)}")
     return 0
 
 

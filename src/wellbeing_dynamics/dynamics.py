@@ -43,14 +43,17 @@ class ExponentialIncome(Record):
     def value(self, t: float) -> float:
         try:
             return self.p0 * math.exp(self.rate * (t - self.t0))
-        except OverflowError:
-            raise NumericError(INCOME_OVERFLOW % t) from None
+        except OverflowError:  # exp alone is past the float range; p0 times it may not be
+            try:
+                return math.exp(math.log(self.p0) + self.rate * (t - self.t0))
+            except OverflowError:
+                raise NumericError(INCOME_OVERFLOW % t) from None
 
     def derivative(self, t: float, left: bool = False) -> float:
         try:
             return self.rate * (self.p0 * math.exp(self.rate * (t - self.t0)))
         except OverflowError:
-            raise NumericError(INCOME_OVERFLOW % t) from None
+            return self.rate * self.value(t)
 
     def scaled(self, n: float) -> ExponentialIncome:
         """The path n * p(t)."""

@@ -30,7 +30,7 @@ class Dominance(str, Enum):
 
 
 class RegimeReport(Record):
-    """Full classification of one scenario.
+    """Full classification of one scenario: `wbdyn classify` prints n, then these fields in order.
 
     interval_j is the open interval where both exponents are positive; it exists exactly in
     the HighGrowth case. dominance assumes equal initial well-being; when B0 != B0_star,
@@ -50,11 +50,11 @@ class RegimeReport(Record):
     behavior_g_star: Behavior
     exponent_g: float
     exponent_g_star: float
-    n_hat: float
     g_rate: float
     f_value: float
-    interval_j: tuple[float, float] | None
+    n_hat: float
     dominance: Dominance
+    interval_j: tuple[float, float] | None
     roles_reversed: bool
     crossover_time: float | None
 
@@ -113,8 +113,8 @@ def classify(params: ScenarioParams, epsilon: float = DEFAULT_EPSILON) -> Regime
     return RegimeReport(
         growth_case=case, boundary_g=boundary_g, boundary_g_star=boundary_g_star, band=band,
         behavior_g=behavior_g, behavior_g_star=behavior_g_star, exponent_g=e_g,
-        exponent_g_star=e_g_star, n_hat=n_hat, g_rate=g_rate, f_value=f_value,
-        interval_j=interval_j, dominance=dominance, roles_reversed=p.n < 1.0,
+        exponent_g_star=e_g_star, g_rate=g_rate, f_value=f_value, n_hat=n_hat,
+        dominance=dominance, interval_j=interval_j, roles_reversed=p.n < 1.0,
         crossover_time=crossover_time)
 
 

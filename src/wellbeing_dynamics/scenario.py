@@ -17,11 +17,8 @@ from .dynamics import (DEFAULT_STEP, ExponentialIncome, IncomeModel, LinearIncom
 from .errors import DomainError, Record, checked, read_text
 from .regime import DEFAULT_EPSILON, checked_epsilon
 
-#: file key -> ScenarioParams field; only "lambda", a Python keyword, is renamed
-PARAM_KEYS = {
-    key: "lam" if key == "lambda" else key
-    for key in ("a", "a_star", "b", "b_star", "lambda", "n", "B0", "B0_star", "p0", "t0")
-}
+#: file key -> ScenarioParams field, in field order; only lam is renamed, to the keyword lambda
+PARAM_KEYS = {"lambda" if field == "lam" else field: field for field in ScenarioParams._fields}
 
 _TOP_LEVEL_KEYS = set(PARAM_KEYS) | {"income_model", "numerics"}
 _INCOME_KEYS = {
@@ -29,7 +26,6 @@ _INCOME_KEYS = {
     "linear": {"type", "slope"},
     "tabulated": {"type", "points"},
 }
-_NUMERICS_KEYS = {"step", "epsilon"}
 
 SWEEPABLE = ("a", "a_star", "b", "b_star", "lambda", "n")
 
@@ -115,7 +111,7 @@ def _parse_income(block, params: ScenarioParams, origin: str) -> IncomeModel:
     if not isinstance(block, dict):
         raise DomainError(f"{origin}: 'income_model' must be an object")
     kind = block.get("type")
-    if kind not in _INCOME_KEYS:
+    if not isinstance(kind, str) or kind not in _INCOME_KEYS:  # a list or dict is unhashable
         raise DomainError(
             f"{origin}: income_model type must be one of "
             f"{sorted(_INCOME_KEYS)}, got {kind!r}"
@@ -145,7 +141,7 @@ def _parse_income(block, params: ScenarioParams, origin: str) -> IncomeModel:
 def _parse_numerics(block, origin: str) -> NumericsOptions:
     if block is None:
         return NumericsOptions()
-    _check_keys(block, _NUMERICS_KEYS, origin, "numerics")
+    _check_keys(block, set(NumericsOptions._fields), origin, "numerics")
     values = {key: _require_number(block[key], key, origin) for key in block}
     return NumericsOptions(**values)
 

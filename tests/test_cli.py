@@ -325,6 +325,20 @@ class TestSimulate:
         assert r.stderr == f"error: income overflows at t = {t}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["closed", "ode", "both"])
+    def test_income_past_exp_range_inside_float_range(self, tmp_path, mode):
+        # p = 1e-10 * e^720 = 4.92e302: exp(720) overflows, p0 times it does not.
+        sc = write_scenario(tmp_path / "s.json", p0=1e-10, a=1e-3, a_star=1e-3,
+                            numerics={"step": 0.1}, **{"lambda": 1.0})
+        out = tmp_path / "x.csv"
+        r = run_cli("simulate", "--scenario", sc, "--t-end", "720", "--mode", mode,
+                    "--out", str(out))
+        assert (r.returncode, r.stderr) == (0, "")
+        last = out.read_text().splitlines()[-1].split(",")
+        assert last[0] == "720" and last[3] == "4.92070093026e+302"
+        if mode == "both":
+            assert float(parse_report(r.stdout)["max_relative_deviation"]) < 1e-8
+
     @pytest.mark.parametrize("mode", ["ode", "both"])
     def test_ode_income_overflow_not_blamed_on_state(self, tmp_path, mode):
         # p' = 1000 * p is inf at t = 0.68 without an OverflowError, one step before p

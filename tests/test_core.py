@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from array import array
 
 import mpmath as mp
 import pytest
@@ -194,7 +195,8 @@ class TestClosedFormColumns:
     @staticmethod
     def assert_same(params, times):
         got, want = closed_form_columns(params, times), per_time_columns(params, times)
-        assert [[x.hex() for x in col] for col in got] == [[x.hex() for x in col] for col in want]
+        assert [array("d", col).tobytes() for col in got] == [
+            array("d", col).tobytes() for col in want]
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 300.0), st.floats(0.05, 2.0))
     @settings(deadline=None)

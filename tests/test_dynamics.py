@@ -11,6 +11,7 @@ import typing
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Sequence
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import mpmath as mp
@@ -75,6 +76,14 @@ class TestExponentialIncome:
         # e^800 is past the float range: the message integrate and general_wellbeing give.
         with pytest.raises(OverflowError, match=r"^income overflows at t = 800$"):
             getattr(ExponentialIncome(1.0, 1.0), method)(800.0)
+
+    @pytest.mark.parametrize("method", ["value", "derivative"])
+    def test_past_exp_range_inside_float_range(self, method):
+        # e^720 overflows; 1e-10 * e^720 = 4.92e302 does not, and comes from the logarithms.
+        with localcontext(prec=40):
+            want = float(Decimal(1e-10) * Decimal(720).exp())
+        got = getattr(ExponentialIncome(1e-10, 1.0), method)(720.0)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestLinearIncome:
@@ -928,13 +937,13 @@ class TestTheoremBeyondExponentialIncome:
     def n_away_from(cls, rng, boundaries):
         """n in [0.1, 10], more than a factor MARGIN from each boundary: a uniform point of a
         uniformly chosen piece of that range once the windows around the boundaries are cut."""
-        pieces, lo, width = [], math.log(0.1), math.log(cls.MARGIN)
+        pieces, lo, top, width = [], math.log(0.1), math.log(10.0), math.log(cls.MARGIN)
         for centre in sorted(math.log(x) for x in boundaries):
-            if centre - width > lo:
-                pieces.append((lo, centre - width))
+            if min(centre - width, top) > lo:  # a boundary past 10 ends its piece at 10
+                pieces.append((lo, min(centre - width, top)))
             lo = max(lo, centre + width)
-        if lo < math.log(10.0):
-            pieces.append((lo, math.log(10.0)))
+        if lo < top:
+            pieces.append((lo, top))
         return math.exp(uniform(rng, *rng.choice(pieces)))
 
     @given(seed=st.integers(0, 2**32 - 1),

@@ -127,6 +127,10 @@ class TestIncomeOverrides:
         ([1.0], "test: 'income_model' must be an object"),
         ({"type": "tabulated", "points": [[0, 2.0, 1.0], [5, 3.0, 1.0]]},
          "test: tabulated income_model requires 'points' as a list of [t, value] pairs"),
+        ({"type": []}, "test: income_model type must be one of "
+                       "['exponential', 'linear', 'tabulated'], got []"),
+        ({"type": {}}, "test: income_model type must be one of "
+                       "['exponential', 'linear', 'tabulated'], got {}"),
     ])
     def test_malformed_income_model_message(self, block, message):
         with pytest.raises(DomainError) as exc_info:
