@@ -57,12 +57,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    params, t_end, step = scenario.params, checked(args.t_end, "--t-end"), scenario.numerics.step
+    params, step = scenario.params, scenario.numerics.step
+    t_end = checked(args.t_end, "--t-end", at_least=params.t0)
     if args.mode != "ode":  # the closed forms: their gate, then exponents that are finite
         scenario.closed_form_params()
         exponent_g(params), exponent_g_star(params)  # each refuses one past the float range
-    if t_end < params.t0:
-        raise DomainError(f"--t-end must be >= t0 = {params.t0}, got {t_end}")
     p, q = scenario.income_pair()
     # One grid per run: closed builds it, ode and both take the integrator's.
     if args.mode == "closed":

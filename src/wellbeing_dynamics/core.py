@@ -102,10 +102,7 @@ class RatioAnalysis(Record):
 
 
 def _elapsed(params: ScenarioParams, t) -> float:
-    t = checked(t, "t")
-    if t < params.t0:
-        raise DomainError(f"t must be >= t0 = {params.t0}, got {t}")
-    return t - params.t0
+    return checked(t, "t", at_least=params.t0) - params.t0
 
 
 def exponent_g(params: ScenarioParams) -> float:
@@ -214,9 +211,7 @@ def general_wellbeing(
     b = checked(b, "b", at_least=0.0)
     B0 = checked(B0, "B0", above=0.0)
     t0 = checked(t0, "t0")
-    t = checked(t, "t")
-    if t < t0:
-        raise DomainError(f"t must be >= t0 = {t0}, got {t}")
+    t = checked(t, "t", at_least=t0)
 
     def gap_ratio(s: float) -> float:
         ps, qs = incomes(p, q, s)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from operator import sub, truediv
+from operator import lt, sub, truediv
 
 from .core import _NORMAL, INCOME_OVERFLOW, ScenarioParams, closed_form_columns
 from .errors import DomainError, IntegrationError, NumericError, Record, checked, checked_points
@@ -169,13 +169,16 @@ class Trajectory(Record):
 
 def uniform_grid(start: float, span: float, step: float) -> list[float]:
     """start, start + step, ... over every whole step in span, counting a
-    step that falls short of span by rounding alone. DomainError when the
-    grid would span more than MAX_GRID_STEPS steps."""
+    step that falls short of span by rounding alone. DomainError when the grid would span
+    more than MAX_GRID_STEPS steps, or when its points would not strictly increase."""
     steps = span / step * (1.0 + 1e-12) + 1e-9
     # floor(steps) <= MAX_GRID_STEPS; also false for inf and nan.
     if not steps < MAX_GRID_STEPS + 1:
         raise DomainError(f"grid of {steps:.10g} steps exceeds the limit of {MAX_GRID_STEPS}")
-    return [start + k * step for k in range(int(steps) + 1)]
+    grid = [start + k * step for k in range(int(steps) + 1)]
+    if not all(map(lt, grid, grid[1:])):  # step below the float spacing: points repeat
+        raise DomainError(f"grid step {step:.12g} is below the float spacing near {start:.12g}")
+    return grid
 
 
 def time_grid(t0: float, t_end: float, step: float) -> list[float]:
@@ -185,10 +188,8 @@ def time_grid(t0: float, t_end: float, step: float) -> list[float]:
     t_end, unless it is t0; else t_end is appended, a shorter last interval.
     """
     t0 = checked(t0, "t0")
-    t_end = checked(t_end, "t_end")
+    t_end = checked(t_end, "t_end", at_least=t0)
     step = checked(step, "step", above=0.0)
-    if t_end < t0:
-        raise DomainError(f"t_end must be >= t0, got t_end = {t_end} < t0 = {t0}")
     if t_end == t0:
         return [t0]
     times = uniform_grid(t0, t_end - t0, step)
@@ -226,17 +227,17 @@ def integrate(
         tol: per-step relative error target for "rkf45", > 0.
 
     Raises:
-        DomainError: invalid arguments; a window [t0, t_end] outside a tabulated income's
-            range, before any income call; c_B or c_S at t0 past the float range.
+        DomainError: every invalid argument, then a window [t0, t_end] outside a tabulated
+            income's range, before any income call; c_B or c_S at t0 past the float range;
+            an RK4 grid whose times would repeat (uniform_grid).
         IntegrationError: a non-positive or overflowing income sample
             mid-run, a state that leaves the positive finite range, an
             unstable RK4 step or adaptive step underflow; carries the last good state.
     """
     if method not in ("rk4", "rkf45"):
         raise DomainError(f"method must be 'rk4' or 'rkf45', got {method!r}")
-    t_end = checked(t_end, "t_end")
-    if t_end < params.t0:
-        raise DomainError(f"t_end must be >= t0 = {params.t0}, got {t_end!r}")
+    t_end = checked(t_end, "t_end", at_least=params.t0)
+    step, tol = checked(step, "step", above=0.0), checked(tol, "tol", above=0.0)
     for lo, hi in ((m.nodes[0], m.nodes[-1]) for m in (p, q) if m.nodes):
         if params.t0 < lo or t_end > hi:
             raise DomainError(f"window [{params.t0}, {t_end}] leaves the tabulated range "
@@ -338,8 +339,6 @@ def _run_rkf45(coefficients, params: ScenarioParams, t_end, step, tol, record, n
     # the nodes (as in _run_rk4) and on t_end alike: a step that would reach the next stop,
     # or end short of it by less than h_min, ends on it, exempt from h_min, with stage 4 from
     # the left; once accepted, the next step resumes the size it was cut from.
-    step = checked(step, "step", above=0.0)
-    tol = checked(tol, "tol", above=0.0)
     c0, c1, c2, c3, _, c5 = _RKF_C
     _, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54) = _RKF_A
     b50, b51, b52, b53, b54, b55 = _RKF_B5

@@ -48,8 +48,8 @@ class QuadratureError(WellbeingError, RuntimeError):
 def checked(value, name: str, above=None, below=None, at_least=None) -> float:
     """Return value as a finite float within the given bounds.
 
-    above and below are strict bounds, at_least is inclusive; None skips
-    a bound. The DomainError names the value and quotes it as given.
+    above and below are strict bounds, at_least is inclusive; None skips a bound.
+    The DomainError names the value, prints the bound as %.12g and quotes the value as given.
     """
     try:
         out = float(value)
@@ -60,11 +60,11 @@ def checked(value, name: str, above=None, below=None, at_least=None) -> float:
     if not math.isfinite(out):
         raise DomainError(f"{name} must be finite, got {value!r}")
     if above is not None and out <= above:
-        raise DomainError(f"{name} must be > {above:g}, got {value!r}")
+        raise DomainError(f"{name} must be > {above:.12g}, got {value!r}")
     if below is not None and out >= below:
-        raise DomainError(f"{name} must be < {below:g}, got {value!r}")
+        raise DomainError(f"{name} must be < {below:.12g}, got {value!r}")
     if at_least is not None and out < at_least:
-        raise DomainError(f"{name} must be >= {at_least:g}, got {value!r}")
+        raise DomainError(f"{name} must be >= {at_least:.12g}, got {value!r}")
     return out
 
 

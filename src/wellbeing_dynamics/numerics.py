@@ -42,9 +42,7 @@ def adaptive_simpson(
             assembled from everything processed or pending so far.
     """
     a = checked(a, "lower integration limit")
-    b = checked(b, "upper integration limit")
-    if b < a:
-        raise DomainError(f"integration interval is reversed: [{a}, {b}]")
+    b = checked(b, "upper integration limit", at_least=a)
     tol = checked(tol, "tol", above=0.0)
     if a == b:
         return 0.0, 0.0

@@ -192,12 +192,9 @@ class SweepSpec(Record):
             raise DomainError(
                 f"sweep parameter must be one of {', '.join(SWEEPABLE)}; got {self.name!r}"
             )
-        for field, above in (("start", None), ("stop", None), ("step", 0.0)):
-            vars(self)[field] = checked(getattr(self, field), f"sweep {field}", above=above)
-        if not self.start < self.stop:
-            raise DomainError(
-                f"sweep start must be < stop, got {self.start} >= {self.stop}"
-            )
+        start = checked(self.start, "sweep start")
+        vars(self).update(start=start, stop=checked(self.stop, "sweep stop", above=start),
+                          step=checked(self.step, "sweep step", above=0.0))
 
     def grid(self) -> list[float]:
         """Grid values start, start+step, ... up to stop inclusive.

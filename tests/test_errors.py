@@ -7,18 +7,21 @@ from __future__ import annotations
 import ast
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from wellbeing_dynamics import (ExponentialIncome, ScenarioParams, classify, closed_form_B,
-                                closed_form_B_star, core, dynamics, general_wellbeing,
-                                integrate, regime, verify_nhat_bracketing, wellbeing_ratio)
+from wellbeing_dynamics import (ExponentialIncome, ScenarioParams, SweepSpec,
+                                TabulatedIncome, classify, closed_form_B, closed_form_B_star,
+                                core, dynamics, general_wellbeing, integrate, parse_sweep,
+                                regime, time_grid, verify_nhat_bracketing, wellbeing_ratio)
 from wellbeing_dynamics import cli
 from wellbeing_dynamics.errors import (DomainError, IntegrationError, NumericError,
                                        QuadratureError, WellbeingError)
-from wellbeing_dynamics.core import n_free_terms, n_terms
-from conftest import SRC, exact_n_hat, run_cli
+from wellbeing_dynamics.core import closed_form_columns, n_free_terms, n_terms
+from wellbeing_dynamics.numerics import adaptive_simpson
+from conftest import SRC, exact_n_hat, run_cli, write_scenario
 
 HIGH = Path(__file__).parent / "golden" / "inputs" / "high.json"
 
@@ -302,3 +305,142 @@ class TestPrintedNumbersAreFinite:
         with pytest.raises(DomainError, match=f"^{field} must be finite, got {value!r}$"):
             report._replace(**{field: value})
         assert math.copysign(1.0, getattr(report._replace(**{field: -0.0}), field)) == 1.0
+
+
+def refusal(call, *args, **kwargs) -> str:
+    """The message of the DomainError that call(*args, **kwargs) raises."""
+    with pytest.raises(DomainError) as exc_info:
+        call(*args, **kwargs)
+    return str(exc_info.value)
+
+
+def simulate_refusal(tmp_path, t_end, mode="closed", **fields) -> str:
+    """`wbdyn simulate` on BASE with fields changed: it must exit 2 with one stderr line and
+    no stdout or table; that line's message."""
+    out = tmp_path / "x.csv"
+    r = run_cli("simulate", "--scenario", write_scenario(tmp_path / "s.json", **fields),
+                "--t-end", t_end, "--mode", mode, "--out", str(out))
+    assert (r.returncode, r.stdout, out.exists()) == (2, "", False)
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    return r.stderr[len("error: "):-1]
+
+
+T0 = 2000.125  # %g would print 2000.12
+LATE = ScenarioParams(a=1.0, a_star=1.0, b=0.05, b_star=0.05, lam=0.1, n=1.5,
+                      B0=1.0, B0_star=1.0, p0=2.0, t0=T0)
+LATE_P = ExponentialIncome(LATE.p0, LATE.lam, T0)
+BEFORE = "t must be >= 2000.125, got 2000.0"
+T_END_BEFORE = "t_end must be >= 2000.125, got 2000.0"
+
+
+class TestOneRangeRule:
+    """Every bound on an input is checked and worded by errors.checked: the window t >= t0,
+    the integration interval and the sweep range, with the bound printed as %.12g."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda tmp: refusal(closed_form_B, LATE, 2000.0), BEFORE),
+        (lambda tmp: refusal(closed_form_B_star, LATE, 2000.0), BEFORE),
+        (lambda tmp: refusal(closed_form_columns, LATE, [T0, 2000.0]), BEFORE),
+        (lambda tmp: refusal(wellbeing_ratio, LATE, 2000.0), BEFORE),
+        (lambda tmp: refusal(general_wellbeing, LATE_P, LATE_P.scaled(1.5), 1.0, 0.05, 1.0,
+                             T0, 2000.0), BEFORE),
+        (lambda tmp: refusal(time_grid, T0, 2000.0, 0.1), T_END_BEFORE),
+        (lambda tmp: refusal(integrate, LATE_P, LATE_P.scaled(1.5), LATE, 2000.0), T_END_BEFORE),
+        (lambda tmp: refusal(integrate, LATE_P, LATE_P.scaled(1.5), LATE, 2000.0,
+                             method="rkf45"), T_END_BEFORE),
+        (lambda tmp: simulate_refusal(tmp, "2000", t0=T0), "--t-end must be >= 2000.125, got 2000.0"),
+        (lambda tmp: simulate_refusal(tmp, "2000", "ode", t0=T0),
+         "--t-end must be >= 2000.125, got 2000.0"),
+        (lambda tmp: simulate_refusal(tmp, "-1"), "--t-end must be >= 0, got -1.0"),
+        # The window is refused before the closed-form gate, which refuses linear income.
+        (lambda tmp: simulate_refusal(tmp, "-1", income_model={"type": "linear", "slope": 0.1}),
+         "--t-end must be >= 0, got -1.0"),
+        (lambda tmp: refusal(closed_form_B, LATE._replace(t0=1234567.25), 1234567.0),
+         "t must be >= 1234567.25, got 1234567.0"),
+        (lambda tmp: simulate_refusal(tmp, "1234567", t0=1234567.25),
+         "--t-end must be >= 1234567.25, got 1234567.0"),
+        (lambda tmp: refusal(adaptive_simpson, math.exp, 1.0, 0.0),
+         "upper integration limit must be >= 1, got 0.0"),
+        (lambda tmp: refusal(SweepSpec, name="n", start=1.0, stop=0.5, step=0.1),
+         "sweep stop must be > 1, got 0.5"),
+        # A reversed sweep is refused before its step.
+        (lambda tmp: refusal(parse_sweep, "n=1:0.5:0"), "sweep stop must be > 1, got 0.5"),
+    ], ids=["closed_form_B", "closed_form_B_star", "closed_form_columns", "wellbeing_ratio",
+            "general_wellbeing", "time_grid", "integrate_rk4", "integrate_rkf45",
+            "simulate_closed", "simulate_ode", "simulate_t0_zero", "simulate_before_gate",
+            "closed_form_B_seven_digits", "simulate_seven_digits", "adaptive_simpson",
+            "SweepSpec", "parse_sweep_before_step"])
+    def test_message(self, tmp_path, call, message):
+        assert call(tmp_path) == message
+
+    def test_src_states_the_rule_once(self):
+        # No comparison of t, t_end or --t-end with t0 outside checked, nor the old wordings.
+        found = []
+        for path in sorted(Path(SRC, "wellbeing_dynamics").glob("*.py")):
+            text = path.read_text()
+            found += re.findall(r"is reversed|must be < stop", text)
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Compare):
+                    operands = [ast.unparse(x) for x in (node.left, *node.comparators)]
+                    found += [f"{path.name}:{node.lineno}"
+                              for *pair, op in zip(operands, operands[1:], node.ops)
+                              if not isinstance(op, (ast.Eq, ast.NotEq))
+                              and {"t0", "params.t0"} & set(pair)
+                              and {"t", "t_end", "args.t_end"} & set(pair)]
+        assert found == []
+
+
+class TestIntegrateRefusesBeforeAnyIncomeCall:
+    """integrate refuses every invalid argument before it evaluates an income."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> list:
+        calls = []
+        for name in ("value", "derivative"):
+            def counting(self, t, *left, fn=getattr(ExponentialIncome, name)):
+                calls.append(t)
+                return fn(self, t, *left)
+            monkeypatch.setattr(ExponentialIncome, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("bad,message", [
+        ({"step": 0.0}, "step must be > 0, got 0.0"),
+        ({"step": math.nan}, "step must be finite, got nan"),
+        ({"step": -1.0}, "step must be > 0, got -1.0"),
+        ({"tol": 0.0}, "tol must be > 0, got 0.0"),  # rk4, which ignores tol, refuses it too
+    ], ids=["step_0", "step_nan", "step_negative", "tol_0"])
+    def test_no_income_call(self, calls, method, bad, message):
+        p = ExponentialIncome(2.0, 0.1)
+        assert refusal(integrate, p, p.scaled(1.5), LATE._replace(t0=0.0), 1.0,
+                       method=method, **bad) == message
+        assert calls == []
+        integrate(p, p.scaled(1.5), LATE._replace(t0=0.0), 0.1, method=method)
+        assert calls  # the wrappers see a valid run's calls
+
+    def test_step_before_the_tabulated_window(self):
+        p = TabulatedIncome(((0.0, 1.0), (1.0, 2.0)))
+        assert refusal(integrate, p, p.scaled(1.5), LATE._replace(t0=0.0), 5.0,
+                       step=0.0) == "step must be > 0, got 0.0"
+
+
+class TestGridBelowTheFloatSpacing:
+    """A grid whose step is below the float spacing of its points repeats them; it is
+    refused before any work, naming the step."""
+
+    MESSAGE = "grid step 1 is below the float spacing near 1e+17"
+
+    def test_time_grid(self):
+        assert refusal(time_grid, 1e17, 1e17 + 64, 1.0) == self.MESSAGE
+        assert time_grid(1e17, 1e17 + 64, 16.0) == [1e17 + 16.0 * k for k in range(5)]
+
+    def test_simulate_exits_2(self, tmp_path):
+        assert simulate_refusal(tmp_path, "100000000000000064", "both", t0=1e17,
+                                numerics={"step": 1}) == self.MESSAGE
+
+    def test_sweep_exits_2(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        r = run_cli("sweep", "--scenario", str(HIGH), "--vary", "n=1e17:100000000000000064:1",
+                    "--out", str(out))
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {self.MESSAGE}\n")
+        assert not out.exists()
